@@ -12,8 +12,9 @@ Usage::
     python -m repro obs stats --scheme SLPMT     # cycle attribution dump
     python -m repro obs trace --out trace.json   # Perfetto trace export
     python -m repro bench --check                # perf-regression gate
+    python -m repro bench service --check        # any registered document
     python -m repro model fit                    # fit the cost model
-    python -m repro bench --model                # predict + spot-check
+    python -m repro model bench                  # predict + spot-check
 """
 
 from __future__ import annotations

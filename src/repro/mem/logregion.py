@@ -12,7 +12,7 @@ proving the byte stream alone carries the recovery protocol.
 Stream wire format, version 1 (64-bit words):
 
 * stream header — :data:`LOG_MAGIC` word, then a version word; entries
-  follow immediately after;
+  follow immediately after (see below for a damaged header);
 * entry header word — ``kind`` (4 bits) | ``nwords`` (8 bits, <<4) |
   ``tx_seq`` (52 bits, <<12);
 * for payload records (undo/redo, plus the 2PC ``prepare`` and
@@ -23,9 +23,13 @@ Stream wire format, version 1 (64-bit words):
   complement — never zero, so a checksum can not mimic the terminator);
 * a zero word terminates the stream (kind 0 is invalid).
 
-The legacy version-0 stream (no header, no checksums) is still decoded:
-a stream whose first word is not :data:`LOG_MAGIC` is parsed as v0, so
-old durable images keep recovering.
+The stream header is mandatory.  A region whose header words are zero
+and which holds nothing else is pristine (an empty, clean log); any
+other header is damage at :data:`~repro.mem.layout.PM_LOG_BASE`
+(reason ``"stream-header"``): strict decoding refuses the region and
+the tolerant decoder reports the damage and still parses the
+checksummed entries behind it, so no unchecksummed word is ever
+trusted.
 
 The stream is append-only.  Entries are never erased — markers make
 stale records inert: recovery ignores any record whose transaction has a
@@ -86,15 +90,15 @@ TWOPC_KINDS = ("prepare", "prepared", "decide-commit", "decide-abort")
 #: The durable decision markers among :data:`TWOPC_KINDS`.
 DECISION_KINDS = ("decide-commit", "decide-abort")
 
-#: First word of a versioned stream ("SLPMTLOG", little-endian).  The
-#: low nibble (0x53 & 0xF = 3) is irrelevant: version detection matches
-#: the whole word, never the tag field.
+#: First word of a stream ("SLPMTLOG", little-endian).  The low nibble
+#: (0x53 & 0xF = 3) is irrelevant: header validation matches the whole
+#: word, never the tag field.
 LOG_MAGIC = int.from_bytes(b"SLPMTLOG", "little")
 
 #: Current stream format version.
 LOG_VERSION = 1
 
-#: Words occupied by the v1 stream header (magic + version).
+#: Words occupied by the stream header (magic + version).
 HEADER_WORDS = 2
 
 _SEQ_LIMIT = 1 << 52
@@ -112,8 +116,8 @@ def entry_checksum(words: List[int]) -> int:
     return crc | ((crc ^ 0xFFFF_FFFF) << 32)
 
 
-def encode_entry(entry: DurableLogEntry, *, version: int = LOG_VERSION) -> List[int]:
-    """Serialize one entry into its wire words (checksummed for v1)."""
+def encode_entry(entry: DurableLogEntry) -> List[int]:
+    """Serialize one entry into its checksummed wire words."""
     try:
         tag = KIND_TAGS[entry.kind]
     except KeyError:
@@ -128,25 +132,18 @@ def encode_entry(entry: DurableLogEntry, *, version: int = LOG_VERSION) -> List[
         words = [header, entry.addr] + [w & _WORD_MASK for w in entry.words]
     else:
         words = [header]
-    if version >= 1:
-        words.append(entry_checksum(words))
+    words.append(entry_checksum(words))
     return words
 
 
-def entry_wire_words(entry: DurableLogEntry, *, version: int = LOG_VERSION) -> int:
-    """Number of words the entry occupies on the wire."""
-    body = 2 + len(entry.words) if entry.kind in PAYLOAD_KINDS else 1
-    return body + (1 if version >= 1 else 0)
+def entry_wire_words(entry: DurableLogEntry) -> int:
+    """Number of words the entry occupies on the wire (checksum included)."""
+    return (2 + len(entry.words) if entry.kind in PAYLOAD_KINDS else 1) + 1
 
 
 def stream_header_words() -> List[int]:
-    """The two words opening a v1 serialized stream."""
+    """The two words opening every serialized stream."""
     return [LOG_MAGIC, LOG_VERSION]
-
-
-def detect_version(first_word: int) -> int:
-    """Stream version from the word at the log base (v0 has no header)."""
-    return LOG_VERSION if first_word == LOG_MAGIC else 0
 
 
 # ----------------------------------------------------------------------
@@ -160,8 +157,9 @@ class DamagedEntry:
 
     ``offset`` is the PM word address of the entry's header word;
     ``reason`` is ``"torn"`` (incomplete tail), ``"checksum"`` (payload
-    words fail their CRC), ``"header"`` (invalid kind tag) or
-    ``"nwords"`` (absurd payload length).  ``kind``/``tx_seq`` are
+    words fail their CRC), ``"header"`` (invalid kind tag), ``"nwords"``
+    (absurd payload length) or ``"stream-header"`` (the region's magic
+    or version word is wrong).  ``kind``/``tx_seq`` are
     best-effort guesses from the (possibly damaged) header word.
     """
 
@@ -180,7 +178,7 @@ class DamagedEntry:
 class ParsedLog:
     """Outcome of a tolerant parse of the serialized log region."""
 
-    version: int
+    version: int = LOG_VERSION
     entries: List[DurableLogEntry] = field(default_factory=list)
     damaged: List[DamagedEntry] = field(default_factory=list)
     torn_tail: Optional[DamagedEntry] = None
@@ -195,18 +193,8 @@ class ParsedLog:
 # ----------------------------------------------------------------------
 
 
-def decode_stream(
-    read_word: Callable[[int], int],
-    base: int,
-    limit: int,
-    *,
-    version: int = LOG_VERSION,
-) -> List[DurableLogEntry]:
-    """Parse entries from PM words starting at *base* (which must point
-    at the first entry, past any stream header) until a zero header or
-    *limit* is reached.  Raises :class:`LogParseError` on any framing or
-    checksum damage — the strict, trust-the-media path."""
-    parsed = decode_stream_tolerant(read_word, base, limit, version=version)
+def _strict(parsed: ParsedLog) -> List[DurableLogEntry]:
+    """The entries of a clean parse; :class:`LogParseError` otherwise."""
     if parsed.torn_tail is not None:
         raise LogParseError(
             f"torn log tail ({parsed.torn_tail.reason})",
@@ -220,12 +208,45 @@ def decode_stream(
     return parsed.entries
 
 
+def decode_stream(
+    read_word: Callable[[int], int], base: int, limit: int
+) -> List[DurableLogEntry]:
+    """Parse entries from PM words starting at *base* (which must point
+    at the first entry, past the stream header) until a zero header or
+    *limit* is reached.  Raises :class:`LogParseError` on any framing or
+    checksum damage — the strict, trust-the-media path."""
+    return _strict(decode_stream_tolerant(read_word, base, limit))
+
+
+def decode_region(
+    read_word: Callable[[int], int], base: int, limit: int
+) -> List[DurableLogEntry]:
+    """Strict parse of a whole region whose stream header sits at *base*."""
+    return _strict(decode_region_tolerant(read_word, base, limit))
+
+
+def decode_region_tolerant(
+    read_word: Callable[[int], int], base: int, limit: int
+) -> ParsedLog:
+    """Tolerant parse of a whole region whose stream header sits at
+    *base*: a pristine region is an empty clean log; a wrong header is
+    ``"stream-header"`` damage at *base*, and the checksummed entries
+    behind it are still parsed."""
+    header = [read_word(base + i * units.WORD_BYTES) for i in range(HEADER_WORDS)]
+    start = base + HEADER_WORDS * units.WORD_BYTES
+    if header == stream_header_words():
+        return decode_stream_tolerant(read_word, start, limit)
+    if _only_zeros(read_word, base, limit):
+        return ParsedLog()
+    parsed = decode_stream_tolerant(read_word, start, limit)
+    parsed.damaged.insert(
+        0, DamagedEntry(offset=base, reason="stream-header", words=tuple(header))
+    )
+    return parsed
+
+
 def decode_stream_tolerant(
-    read_word: Callable[[int], int],
-    base: int,
-    limit: int,
-    *,
-    version: int = LOG_VERSION,
+    read_word: Callable[[int], int], base: int, limit: int
 ) -> ParsedLog:
     """Parse as much of the stream as the media supports, never raising.
 
@@ -234,13 +255,13 @@ def decode_stream_tolerant(
     * an entry whose header carries an unknown kind tag or an absurd
       ``nwords`` destroys framing — it is recorded and parsing stops
       (everything after it is unreachable, exactly like real media);
-    * a v1 entry whose checksum word mismatches is recorded as
+    * an entry whose checksum word mismatches is recorded as
       ``"checksum"`` damage and *skipped* (its claimed extent is known,
       so framing survives) — unless nothing but zeros follows, in which
       case it is the torn tail of the final in-flight append;
     * a header claiming words past *limit* is a torn tail.
     """
-    out = ParsedLog(version=version)
+    out = ParsedLog()
     cursor = base
     while cursor < limit:
         header = read_word(cursor)
@@ -263,8 +284,7 @@ def decode_stream_tolerant(
                 )
             )
             break
-        body = 2 + nwords if kind in PAYLOAD_KINDS else 1
-        total = body + (1 if version >= 1 else 0)
+        total = (2 + nwords if kind in PAYLOAD_KINDS else 1) + 1
         end = cursor + total * units.WORD_BYTES
         if end > limit:
             out.torn_tail = DamagedEntry(
@@ -275,7 +295,7 @@ def decode_stream_tolerant(
         wire = [
             read_word(cursor + i * units.WORD_BYTES) for i in range(total)
         ]
-        if version >= 1 and wire[-1] != entry_checksum(wire[:-1]):
+        if wire[-1] != entry_checksum(wire[:-1]):
             damage = DamagedEntry(
                 offset=cursor,
                 reason="torn" if _only_zeros(read_word, end, limit) else "checksum",

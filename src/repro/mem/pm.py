@@ -9,7 +9,7 @@ drained queue.
 The log region is kept in two equivalent forms: the *structural*
 append-only list of :class:`DurableLogEntry` (fast to query, pruned on
 commit) and the *serialized* word stream the codec in
-:mod:`repro.mem.logregion` defines (versioned header, per-entry CRC).
+:mod:`repro.mem.logregion` defines (mandatory stream header, per-entry CRC).
 Byte/line accounting for the log's *traffic* is done by the log buffer
 and machine, which know the packed record sizes.
 
@@ -227,7 +227,7 @@ class PersistentMemory:
 
     def _log_limit(self) -> int:
         """Upper parse bound: past everything ever written to the log
-        region (hand-written legacy streams included), so the tolerant
+        region (hand-written streams included), so the tolerant
         decoder's is-anything-after-this scan stays cheap."""
         end = layout.PM_LOG_BASE + layout.PM_LOG_BYTES
         top = max(
@@ -239,47 +239,30 @@ class PersistentMemory:
             limit = max(limit, top + units.WORD_BYTES)
         return limit
 
-    def serialized_log_version(self) -> int:
-        """Stream version of the serialized region (v0 = legacy)."""
-        from repro.mem import logregion
-
-        return logregion.detect_version(
-            self._words.get(layout.PM_LOG_BASE, 0)
-        )
-
-    def _parse_base(self, version: int) -> int:
-        from repro.mem import logregion
-
-        skip = logregion.HEADER_WORDS * units.WORD_BYTES if version >= 1 else 0
-        return layout.PM_LOG_BASE + skip
-
     def parse_byte_log(self) -> List[DurableLogEntry]:
         """Re-derive every entry from the serialized PM words (what a
         controller sees post-crash).  Includes entries the structural
         list already pruned; markers keep them inert.  Strict: raises
-        :class:`~repro.common.errors.LogParseError` on damaged media."""
+        :class:`~repro.common.errors.LogParseError` on damaged media,
+        a damaged stream header included."""
         from repro.mem import logregion
 
-        version = self.serialized_log_version()
-        return logregion.decode_stream(
+        return logregion.decode_region(
             lambda addr: self._words.get(addr, 0),
-            self._parse_base(version),
+            layout.PM_LOG_BASE,
             self._log_limit(),
-            version=version,
         )
 
     def parse_byte_log_tolerant(self) -> "object":
         """Tolerant parse of the serialized region: never raises,
-        classifies torn/corrupt entries (see
-        :func:`repro.mem.logregion.decode_stream_tolerant`)."""
+        classifies torn/corrupt entries and a damaged stream header (see
+        :func:`repro.mem.logregion.decode_region_tolerant`)."""
         from repro.mem import logregion
 
-        version = self.serialized_log_version()
-        return logregion.decode_stream_tolerant(
+        return logregion.decode_region_tolerant(
             lambda addr: self._words.get(addr, 0),
-            self._parse_base(version),
+            layout.PM_LOG_BASE,
             self._log_limit(),
-            version=version,
         )
 
     def structural_parsed(self) -> "object":
@@ -288,7 +271,7 @@ class PersistentMemory:
         :meth:`parse_byte_log_tolerant` for pristine-or-injected media."""
         from repro.mem import logregion
 
-        parsed = logregion.ParsedLog(version=logregion.LOG_VERSION)
+        parsed = logregion.ParsedLog()
         parsed.entries = list(self.log)
         for damage in self.log_damage:
             if damage.reason == "torn" and parsed.torn_tail is None:

@@ -16,11 +16,11 @@ cell of a campaign grid.  This package provides the surrogate tier:
 * :mod:`repro.model.validate` — scores held-out cells (per-cell and
   geomean relative error) behind a hard ``--max-error`` gate.
 
-The model predicts; the simulator audits.  ``bench --model`` combines
+The model predicts; the simulator audits.  ``model bench`` combines
 both: grid-scale prediction plus seeded simulator spot-checks.
 """
 
 from repro.model.predict import CostModel, load_model
-from repro.model.fit import fit_model, run_training_grid
+from repro.model.fit import fit_model
 
-__all__ = ["CostModel", "load_model", "fit_model", "run_training_grid"]
+__all__ = ["CostModel", "load_model", "fit_model"]

@@ -1,36 +1,38 @@
 """``python -m repro model`` — fit, validate and query the cost model.
 
-Three subcommands around ``benchmarks/results/cost_model.json``:
+Four subcommands around ``benchmarks/results/cost_model.json`` (the
+``cost_model`` document of :mod:`repro.artifacts`; ``python -m repro
+bench cost_model --check`` is its staleness gate):
 
 * ``fit`` — run the seeded training grid, fit, score the held-out
-  cells and (gate permitting) write the artifact.  ``--check`` refits
-  with the artifact's own parameters and fails on any byte difference
-  (modulo host timing) — the staleness gate CI runs nightly with a
-  rotating ``--holdout-seed``.
+  cells and (gate permitting) write the artifact.  CI nightly refits
+  with a rotating ``--holdout-seed``.
 * ``validate`` — independently re-simulate the checked-in artifact's
   held-out cells and re-score them against ``--max-error``.
 * ``predict`` — print one cell's predicted phase breakdown (pure
   arithmetic; flags extrapolation outside the training range).
+* ``bench`` — predict the campaign-scale grid and audit a seeded sample
+  of cells against the simulator; exit status is the spot-check verdict.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
+import dataclasses
 import sys
 from typing import List
 
+from repro import artifacts
 from repro.model import fit as fit_mod
 from repro.model.features import CellSpec
 from repro.model.predict import (
     CostModel,
     ModelSchemaError,
+    format_model_bench,
     load_model,
-    write_model,
+    run_model_bench,
 )
 from repro.model.validate import format_validation, validate_model
-from repro.obs import bench as bench_mod
 from repro.parallel.engine import WorkerCrash, resolve_jobs
 
 
@@ -38,82 +40,20 @@ def _progress(done: int, total: int, label: str) -> None:
     print(f"[{done}/{total}] {label}", file=sys.stderr)
 
 
-def _print_validation(doc) -> None:
-    validation = doc["validation"]
-    print(
-        f"held-out validation (seed {validation['holdout_seed']}, "
-        f"{len(validation['cells'])} cells): geomean rel error "
-        f"{validation['geomean_rel_error'] * 100:.3f}%, max "
-        f"{validation['max_rel_error'] * 100:.3f}%"
-    )
-    for pair, errs in validation["per_pair"].items():
-        print(
-            f"  {pair:<20} geomean {errs['geomean_rel_error'] * 100:7.3f}%"
-            f"  max {errs['max_rel_error'] * 100:7.3f}%"
-        )
-
-
 def _cmd_fit(args: argparse.Namespace) -> int:
     jobs = resolve_jobs(args.jobs)
-    fit_kwargs = dict(seed=args.seed, holdout_seed=args.holdout_seed)
-    baseline = None
-    if args.check:
-        # The staleness gate refits with the *artifact's own*
-        # parameters (grids and seeds) — CLI seed flags are ignored —
-        # so any byte difference is a simulator/feature change, not a
-        # parameter mismatch.
-        try:
-            baseline = load_model(args.out).doc
-        except FileNotFoundError:
-            print(
-                f"model fit --check: no artifact at {args.out} "
-                "(fit without --check first)",
-                file=sys.stderr,
-            )
-            return 1
-        except ModelSchemaError as exc:
-            print(f"model fit --check: {exc}", file=sys.stderr)
-            return 1
-        params = baseline["params"]
-        fit_kwargs = dict(
-            workloads=tuple(params["workloads"]),
-            schemes=tuple(params["schemes"]),
-            ops_grid=tuple(params["ops_grid"]),
-            value_bytes_grid=tuple(params["value_bytes_grid"]),
-            seed=params["seed"],
-            holdout_seed=params["holdout_seed"],
-        )
+    params = dataclasses.replace(
+        artifacts.CostModelParams(), seed=args.seed, holdout_seed=args.holdout_seed
+    )
     try:
-        doc = fit_mod.fit_model(
-            jobs=jobs,
+        doc = artifacts.run(
+            "cost_model", params, jobs=jobs,
             progress=_progress if jobs > 1 else None,
-            **fit_kwargs,
         )
     except WorkerCrash as exc:
         print(f"model fit failed: {exc}", file=sys.stderr)
         return 1
-    _print_validation(doc)
-    if args.check:
-        fresh = bench_mod.strip_host(doc)
-        pinned = bench_mod.strip_host(baseline)
-        if fresh != pinned:
-            drift = _diff_keys(fresh, pinned)
-            for key in drift[:20]:
-                print(
-                    f"MODEL DRIFT vs {args.out}: {key}", file=sys.stderr
-                )
-            print(
-                f"model fit --check: refit differs from {args.out} in "
-                f"{len(drift)} keys — simulator or feature change "
-                "without a refit; re-pin with `model fit`",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"model fit --check: refit byte-identical to {args.out} "
-            "(modulo host timing)"
-        )
-        return 0
+    print(fit_mod.format_fit(doc))
     if doc["validation"]["geomean_rel_error"] > args.max_error:
         print(
             f"model fit: geomean rel error exceeds the "
@@ -122,18 +62,23 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    out_dir = os.path.dirname(args.out)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-    write_model(args.out, doc)
-    print(f"wrote {args.out}")
+    for written in artifacts.write("cost_model", doc, args.out):
+        print(f"wrote {written}")
     return 0
 
 
-def _diff_keys(a, b) -> List[str]:
-    from repro.obs.cli import _diff_keys as obs_diff_keys
-
-    return obs_diff_keys(a, b)
+def _cmd_bench(args: argparse.Namespace) -> int:
+    jobs = resolve_jobs(args.jobs)
+    try:
+        doc = run_model_bench(jobs=jobs, progress=_progress if jobs > 1 else None)
+    except (FileNotFoundError, ModelSchemaError, WorkerCrash) as exc:
+        print(f"model bench failed: {exc}", file=sys.stderr)
+        return 1
+    if args.out:
+        artifacts.write_json(args.out, doc)
+        print(f"wrote {args.out}")
+    print(format_model_bench(doc))
+    return 0 if doc["spot_check"]["ok"] else 1
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -161,9 +106,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         return 1
     print(format_validation(report))
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        artifacts.write_json(args.json, report)
         print(f"wrote {args.json}")
     return 0 if report["ok"] else 1
 
@@ -206,9 +149,10 @@ def model_main(argv: "List[str] | None" = None) -> int:
     p_fit = sub.add_parser(
         "fit", help="run the training grid, fit, gate, write the artifact"
     )
-    p_fit.add_argument("--seed", type=int, default=fit_mod.DEFAULT_SEED)
+    defaults = artifacts.CostModelParams()
+    p_fit.add_argument("--seed", type=int, default=defaults.seed)
     p_fit.add_argument(
-        "--holdout-seed", type=int, default=fit_mod.DEFAULT_HOLDOUT_SEED,
+        "--holdout-seed", type=int, default=defaults.holdout_seed,
         help="rotates which grid points are held out of the fit "
         "(CI nightly passes a date-derived seed)",
     )
@@ -224,11 +168,6 @@ def model_main(argv: "List[str] | None" = None) -> int:
         "--max-error", type=float, default=fit_mod.DEFAULT_MAX_ERROR,
         help="held-out geomean relative-error gate; the artifact is "
         "only written when it passes (default 0.05)",
-    )
-    p_fit.add_argument(
-        "--check", action="store_true",
-        help="refit and byte-compare against the artifact at --out "
-        "instead of writing (exit 1 on any simulated-number drift)",
     )
     p_fit.set_defaults(func=_cmd_fit)
 
@@ -257,6 +196,14 @@ def model_main(argv: "List[str] | None" = None) -> int:
     p_pred.add_argument("--ops", type=int, default=300)
     p_pred.add_argument("--value-bytes", type=int, default=256)
     p_pred.set_defaults(func=_cmd_predict)
+
+    p_bench = sub.add_parser(
+        "bench",
+        help="predict the campaign grid, spot-check it against the simulator",
+    )
+    p_bench.add_argument("--jobs", type=int, default=None)
+    p_bench.add_argument("--out", help="write the prediction document here")
+    p_bench.set_defaults(func=_cmd_bench)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -21,14 +21,16 @@ error bound on a different split each night.
 Everything serialised is either an integer, a float produced by IEEE
 +-*-/ and ``math.sqrt`` in fixed order, or rounded — so serial fits,
 ``--jobs N`` fits and cross-host refits are byte-identical (host block
-excluded, see :func:`repro.obs.bench.strip_host`).
+excluded, see :func:`repro.artifacts.strip_host`).  The training grid
+runs through the artifact registry (``cost_model`` in
+:mod:`repro.artifacts`), which declares its default params.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.model.features import (
     FEATURE_NAMES,
@@ -38,9 +40,6 @@ from repro.model.features import (
 )
 from repro.model.linalg import lstsq, predict_row, rms_residual
 from repro.obs.profiler import PHASES
-from repro.parallel import engine
-from repro.parallel import tasks as partasks
-from repro.workloads import KERNELS
 
 SCHEMA_VERSION = 1
 KIND = "cost-model"
@@ -48,13 +47,6 @@ KIND = "cost-model"
 #: The checked-in artifact.
 DEFAULT_MODEL_PATH = "benchmarks/results/cost_model.json"
 
-#: Default training grid: the bench scheme grid over size points that
-#: bracket the BENCH_slpmt_ycsb.json operating point (300 ops / 256 B).
-DEFAULT_OPS_GRID = (40, 80, 120, 160, 200, 240, 300)
-DEFAULT_VALUE_BYTES_GRID = (64, 128, 256)
-DEFAULT_SCHEMES = ("FG", "FG+LG", "FG+LZ", "SLPMT", "ATOM", "EDE")
-DEFAULT_SEED = 2023
-DEFAULT_HOLDOUT_SEED = 2023
 #: Fraction of (ops, value_bytes) grid points reserved for validation.
 HOLDOUT_FRACTION = 0.25
 #: The hard validation gate (geomean total-cycles relative error).
@@ -94,50 +86,6 @@ def holdout_points(
         for index, point in enumerate(points)
     )
     return sorted(point for _, point in scored[:k])
-
-
-def run_training_grid(
-    *,
-    workloads: Sequence[str] = KERNELS,
-    schemes: Sequence[str] = DEFAULT_SCHEMES,
-    ops_grid: Sequence[int] = DEFAULT_OPS_GRID,
-    value_bytes_grid: Sequence[int] = DEFAULT_VALUE_BYTES_GRID,
-    seed: int = DEFAULT_SEED,
-    jobs: int = 1,
-    progress: "Optional[engine.ProgressFn]" = None,
-) -> Dict[str, Dict[str, Any]]:
-    """Simulate every training cell (with the profiler attached).
-
-    Returns ``cell key -> {cycles, pm_bytes, phases, host_ms}``;
-    byte-identical between serial and ``--jobs N`` runs modulo
-    ``host_ms`` (ordered merge, deterministic simulations).
-    """
-    specs = [
-        CellSpec(w, s, ops, vb)
-        for w in workloads
-        for s in schemes
-        for ops in ops_grid
-        for vb in value_bytes_grid
-    ]
-    descriptors = [
-        {
-            "workload": spec.workload,
-            "scheme": spec.scheme,
-            "num_ops": spec.num_ops,
-            "value_bytes": spec.value_bytes,
-            "seed": seed,
-        }
-        for spec in specs
-    ]
-    labels = [spec.key for spec in specs]
-    results = engine.run_tasks(
-        partasks.model_train_cell,
-        descriptors,
-        jobs=jobs,
-        labels=labels,
-        progress=progress,
-    )
-    return dict(zip(labels, results))
 
 
 def _fit_pair(
@@ -191,34 +139,29 @@ def geomean_error(errors: Sequence[float]) -> float:
     )
 
 
-def fit_model(
-    *,
-    workloads: Sequence[str] = KERNELS,
-    schemes: Sequence[str] = DEFAULT_SCHEMES,
-    ops_grid: Sequence[int] = DEFAULT_OPS_GRID,
-    value_bytes_grid: Sequence[int] = DEFAULT_VALUE_BYTES_GRID,
-    seed: int = DEFAULT_SEED,
-    holdout_seed: int = DEFAULT_HOLDOUT_SEED,
-    jobs: int = 1,
-    progress: "Optional[engine.ProgressFn]" = None,
-    training_cells: "Optional[Dict[str, Dict[str, Any]]]" = None,
-) -> Dict[str, Any]:
-    """Run the grid (unless *training_cells* is supplied), fit, validate.
+def fit_model(*, jobs: int = 1, progress=None, **grid: Any) -> Dict[str, Any]:
+    """Run the training grid (*grid* overrides the registered
+    :class:`~repro.artifacts.CostModelParams` defaults), fit, validate.
 
     Returns the full ``cost_model.json`` document.  The caller applies
     the ``--max-error`` gate to ``doc["validation"]``.
     """
-    t0 = time.perf_counter()
-    if training_cells is None:
-        training_cells = run_training_grid(
-            workloads=workloads,
-            schemes=schemes,
-            ops_grid=ops_grid,
-            value_bytes_grid=value_bytes_grid,
-            seed=seed,
-            jobs=jobs,
-            progress=progress,
-        )
+    from repro import artifacts
+
+    params = dataclasses.replace(
+        artifacts.CostModelParams(),
+        **{k: tuple(v) if isinstance(v, list) else v for k, v in grid.items()},
+    )
+    return artifacts.run("cost_model", params, jobs=jobs, progress=progress)
+
+
+def fit_cells(params, rows) -> Dict[str, Any]:
+    """Fit and validate from the simulated training cells: the
+    cost-model document body (the registry's reducer)."""
+    training_cells = {label: cell for label, _, cell in rows}
+    workloads, schemes = params.workloads, params.schemes
+    ops_grid, value_bytes_grid = params.ops_grid, params.value_bytes_grid
+    holdout_seed = params.holdout_seed
     held = holdout_points(ops_grid, value_bytes_grid, holdout_seed)
     all_points = sorted(
         (ops, vb) for ops in ops_grid for vb in value_bytes_grid
@@ -286,22 +229,9 @@ def fit_model(
             for pair, errs in sorted(per_pair_errors.items())
         },
     }
-    host_seconds = time.perf_counter() - t0
     return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": KIND,
-        "name": "cost_model",
         "phases": list(PHASES),
         "features": list(FEATURE_NAMES),
-        "params": {
-            "workloads": list(workloads),
-            "schemes": list(schemes),
-            "ops_grid": list(ops_grid),
-            "value_bytes_grid": list(value_bytes_grid),
-            "seed": seed,
-            "holdout_seed": holdout_seed,
-            "holdout_fraction": HOLDOUT_FRACTION,
-        },
         "train_range": {
             "num_ops": [min(ops_grid), max(ops_grid)],
             "value_bytes": [min(value_bytes_grid), max(value_bytes_grid)],
@@ -309,5 +239,21 @@ def fit_model(
         "training_cells": training_cells,
         "models": models,
         "validation": validation,
-        "host": {"seconds": round(host_seconds, 3), "jobs": jobs},
     }
+
+
+def format_fit(doc: Dict[str, Any]) -> str:
+    """The held-out validation summary of a cost-model document."""
+    validation = doc["validation"]
+    lines = [
+        f"held-out validation (seed {validation['holdout_seed']}, "
+        f"{len(validation['cells'])} cells): geomean rel error "
+        f"{validation['geomean_rel_error'] * 100:.3f}%, max "
+        f"{validation['max_rel_error'] * 100:.3f}%"
+    ]
+    for pair, errs in validation["per_pair"].items():
+        lines.append(
+            f"  {pair:<20} geomean {errs['geomean_rel_error'] * 100:7.3f}%"
+            f"  max {errs['max_rel_error'] * 100:7.3f}%"
+        )
+    return "\n".join(lines)

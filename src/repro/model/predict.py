@@ -15,15 +15,26 @@ Cells whose knobs fall outside the training range are still predicted
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Sequence, Tuple
+import time
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro import artifacts
+from repro.harness.metrics import geomean
 from repro.model.features import (
     FEATURE_NAMES,
     CellSpec,
     feature_vector,
 )
-from repro.model.fit import KIND, SCHEMA_VERSION
+from repro.model.fit import (
+    DEFAULT_MAX_ERROR,
+    DEFAULT_MODEL_PATH,
+    KIND,
+    SCHEMA_VERSION,
+    _mix64,
+    geomean_error,
+)
 from repro.obs.profiler import PHASES
+from repro.workloads import KERNELS
 
 
 class ModelSchemaError(ValueError):
@@ -173,8 +184,238 @@ def load_model(path: str) -> CostModel:
     return CostModel(doc)
 
 
-def write_model(path: str, doc: Dict[str, Any]) -> None:
-    check_schema(doc)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+#: ``model bench`` default prediction grid: two orders of magnitude
+#: denser than the training grid (120 op counts × 8 value sizes × the
+#: 24 workload/scheme pairs = 23 040 cells vs 504 training cells) —
+#: the campaign scale the simulator cannot sweep per push.
+MODEL_OPS_GRID = tuple(range(25, 3001, 25))
+MODEL_VALUE_BYTES_GRID = (16, 32, 64, 128, 256, 512, 1024, 2048)
+#: Simulator spot-checks per ``model bench`` run (seeded sample of
+#: interpolation cells, each gated against *max_error*).
+DEFAULT_SPOT_CHECKS = 6
+#: Spot-checked cells stay at or below this op count so the audit costs
+#: seconds, not the campaign the model exists to avoid.
+SPOT_CHECK_OPS_CAP = 600
+
+MODEL_BENCH_KIND = "model-bench"
+#: Shares the bench documents' schema generation (not the fit's).
+MODEL_BENCH_SCHEMA_VERSION = 2
+
+
+def run_model_bench(
+    *,
+    model_path: "Optional[str]" = None,
+    workloads: "Sequence[str]" = KERNELS,
+    schemes: "Sequence[str]" = artifacts.BENCH_SCHEMES,
+    ops_grid: "Sequence[int]" = MODEL_OPS_GRID,
+    value_bytes_grid: "Sequence[int]" = MODEL_VALUE_BYTES_GRID,
+    seed: int = 2023,
+    spot_checks: int = DEFAULT_SPOT_CHECKS,
+    max_error: "Optional[float]" = None,
+    jobs: int = 1,
+    progress=None,
+) -> Dict[str, Any]:
+    """Predict a campaign-scale grid from the fitted cost model, then
+    audit a seeded sample of cells against the real simulator.
+
+    The document combines both tiers: every grid cell's predicted
+    cycles / PM bytes (cells outside the training range flagged
+    ``extrapolated``), plus ``spot_check`` — fresh simulator runs of a
+    deterministic hash-ranked sample of interpolation cells, each
+    scored by relative error and gated against *max_error*.  One
+    extrapolated cell is probed informationally (reported, never
+    gated).  ``doc["spot_check"]["ok"]`` is the verdict.
+
+    Everything except ``host`` is deterministic in (model artifact,
+    grid, seed): prediction is fixed-order arithmetic and the sample is
+    hash-ranked, so serial and ``--jobs N`` documents are byte-identical
+    modulo :func:`repro.artifacts.strip_host`.
+    """
+    model_path = model_path or DEFAULT_MODEL_PATH
+    max_error = DEFAULT_MAX_ERROR if max_error is None else max_error
+    model = load_model(model_path)
+
+    t0 = time.perf_counter()
+    specs = [
+        CellSpec(w, s, ops, vb)
+        for w in workloads
+        for s in schemes
+        for ops in ops_grid
+        for vb in value_bytes_grid
+    ]
+    cells: Dict[str, Any] = {}
+    scheme_cycles: Dict[str, List[float]] = {s: [] for s in schemes}
+    scheme_pm: Dict[str, List[float]] = {s: [] for s in schemes}
+    extrapolated_count = 0
+    for spec in specs:
+        predicted = model.predict_cell(spec)
+        cells[spec.key] = {
+            "cycles": round(predicted["cycles"], 3),
+            "pm_bytes": round(predicted["pm_bytes"], 3),
+            "extrapolated": predicted["extrapolated"],
+        }
+        extrapolated_count += predicted["extrapolated"]
+        scheme_cycles[spec.scheme].append(predicted["cycles"])
+        scheme_pm[spec.scheme].append(predicted["pm_bytes"])
+    model_seconds = time.perf_counter() - t0
+    # Deep-extrapolation cells can clamp every phase to zero; keep the
+    # per-scheme geomean defined by aggregating positive predictions
+    # only (the count of excluded cells is visible via the cells block).
+    geomeans = {
+        scheme: {
+            "cycles": round(
+                geomean(v for v in scheme_cycles[scheme] if v > 0), 1
+            ),
+            "pm_bytes": round(
+                geomean(v for v in scheme_pm[scheme] if v > 0), 1
+            ),
+        }
+        for scheme in schemes
+    }
+
+    # Seeded hash-ranked spot-check sample: interpolation cells only
+    # (the model is contractually accurate there), capped in op count,
+    # ordering independent of dict/iteration order.
+    interior = [
+        spec
+        for spec in specs
+        if not cells[spec.key]["extrapolated"]
+        and spec.num_ops <= SPOT_CHECK_OPS_CAP
+    ]
+    interior.sort(key=lambda spec: spec.key)
+    ranked = sorted(
+        (_mix64(index + 1, seed), spec) for index, spec in enumerate(interior)
+    )
+    picks = [spec for _, spec in ranked[: max(0, spot_checks)]]
+    exterior = [
+        spec
+        for spec in specs
+        if cells[spec.key]["extrapolated"] and spec.num_ops <= SPOT_CHECK_OPS_CAP
+    ]
+    exterior.sort(key=lambda spec: spec.key)
+    probe = None
+    if exterior:
+        probe = min(
+            (_mix64(index + 1, seed), spec)
+            for index, spec in enumerate(exterior)
+        )[1]
+
+    audit_specs = picks + ([probe] if probe is not None else [])
+    t1 = time.perf_counter()
+    simulated = artifacts.run_cells(
+        "cost_model",
+        [
+            {
+                "workload": spec.workload,
+                "scheme": spec.scheme,
+                "num_ops": spec.num_ops,
+                "value_bytes": spec.value_bytes,
+                "seed": seed,
+            }
+            for spec in audit_specs
+        ],
+        jobs=jobs,
+        progress=progress,
+    )
+    spot_seconds = time.perf_counter() - t1
+
+    spot_cells: Dict[str, Any] = {}
+    errors: List[float] = []
+    for spec, sim in zip(picks, simulated):
+        actual = sim["cycles"]
+        predicted = cells[spec.key]["cycles"]
+        rel = abs(predicted - actual) / actual if actual else 0.0
+        spot_cells[spec.key] = {
+            "actual_cycles": actual,
+            "predicted_cycles": predicted,
+            "rel_error": round(rel, 6),
+        }
+        errors.append(rel)
+    spot_check: Dict[str, Any] = {
+        "cells": spot_cells,
+        "geomean_rel_error": round(geomean_error(errors), 6),
+        "max_rel_error": round(max(errors), 6) if errors else 0.0,
+        "max_error": max_error,
+        "ok": (max(errors) if errors else 0.0) <= max_error,
+    }
+    if probe is not None:
+        sim = simulated[-1]
+        actual = sim["cycles"]
+        predicted = cells[probe.key]["cycles"]
+        spot_check["extrapolated_probe"] = {
+            "cell": probe.key,
+            "actual_cycles": actual,
+            "predicted_cycles": predicted,
+            "rel_error": round(
+                abs(predicted - actual) / actual if actual else 0.0, 6
+            ),
+        }
+
+    return {
+        "schema_version": MODEL_BENCH_SCHEMA_VERSION,
+        "kind": MODEL_BENCH_KIND,
+        "name": "model",
+        "params": {
+            "workloads": list(workloads),
+            "schemes": list(schemes),
+            "ops_grid": list(ops_grid),
+            "value_bytes_grid": list(value_bytes_grid),
+            "seed": seed,
+            "spot_checks": spot_checks,
+            "max_error": max_error,
+            "model_path": model_path,
+        },
+        # Provenance of the predictions: the artifact's own fit params
+        # and held-out score (deterministic — included in strip_host
+        # comparisons, unlike host timing).
+        "model": {
+            "params": model.doc["params"],
+            "train_range": model.doc["train_range"],
+            "holdout_geomean_rel_error": model.doc["validation"][
+                "geomean_rel_error"
+            ],
+        },
+        "cells": cells,
+        "extrapolated_cells": extrapolated_count,
+        "geomean": geomeans,
+        "spot_check": spot_check,
+        "host": {
+            "model_seconds": round(model_seconds, 3),
+            "spot_check_seconds": round(spot_seconds, 3),
+            "cells_per_sec": round(len(specs) / model_seconds, 1)
+            if model_seconds > 0
+            else 0.0,
+            "jobs": jobs,
+        },
+    }
+
+
+def format_model_bench(doc: Dict[str, Any]) -> str:
+    """Human summary of a ``model bench`` document."""
+    spot = doc["spot_check"]
+    lines = [
+        f"model bench: {len(doc['cells'])} cells predicted in "
+        f"{doc['host']['model_seconds']:.3f}s "
+        f"({doc['extrapolated_cells']} extrapolated, flagged)",
+    ]
+    for scheme, geo in doc["geomean"].items():
+        lines.append(
+            f"{scheme:<8} geomean cycles={geo['cycles']:>14,.0f}  "
+            f"pm_bytes={geo['pm_bytes']:>12,.0f}"
+        )
+    lines.append(
+        f"spot-check ({len(spot['cells'])} simulated cells, gate "
+        f"≤{spot['max_error'] * 100:.1f}%): "
+        + ("PASS" if spot["ok"] else "FAIL")
+    )
+    for key, cell in spot["cells"].items():
+        lines.append(
+            f"  {key:<34} rel error {cell['rel_error'] * 100:6.3f}%"
+        )
+    probe = spot.get("extrapolated_probe")
+    if probe:
+        lines.append(
+            f"  {probe['cell']:<34} rel error "
+            f"{probe['rel_error'] * 100:6.3f}% (extrapolated, not gated)"
+        )
+    return "\n".join(lines)

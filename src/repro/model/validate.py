@@ -11,22 +11,21 @@ up as error growth and fails the ``--max-error`` gate.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
+from repro import artifacts
 from repro.model.features import CellSpec, feature_vector
 from repro.model.fit import DEFAULT_MAX_ERROR, geomean_error
 from repro.model.linalg import predict_row
 from repro.model.predict import CostModel
 from repro.obs.profiler import PHASES
-from repro.parallel import engine
-from repro.parallel import tasks as partasks
 
 
 def validate_model(
     model: CostModel,
     *,
     jobs: int = 1,
-    progress: "Optional[engine.ProgressFn]" = None,
+    progress=None,
     max_error: float = DEFAULT_MAX_ERROR,
 ) -> Dict[str, Any]:
     """Fresh-simulate the artifact's held-out cells and score them.
@@ -43,22 +42,20 @@ def validate_model(
         for s in params["schemes"]
         for ops, vb in held
     ]
-    descriptors = [
-        {
-            "workload": spec.workload,
-            "scheme": spec.scheme,
-            "num_ops": spec.num_ops,
-            "value_bytes": spec.value_bytes,
-            "seed": params["seed"],
-        }
-        for spec in specs
-    ]
     t0 = time.perf_counter()
-    results = engine.run_tasks(
-        partasks.model_train_cell,
-        descriptors,
+    results = artifacts.run_cells(
+        "cost_model",
+        [
+            {
+                "workload": spec.workload,
+                "scheme": spec.scheme,
+                "num_ops": spec.num_ops,
+                "value_bytes": spec.value_bytes,
+                "seed": params["seed"],
+            }
+            for spec in specs
+        ],
         jobs=jobs,
-        labels=[spec.key for spec in specs],
         progress=progress,
     )
     cells: Dict[str, Any] = {}

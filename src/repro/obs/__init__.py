@@ -19,10 +19,9 @@ This package layers *passive* measurement over the simulator:
   throughput, latency quantiles, queue depth and shed/abort rates;
 * :mod:`repro.obs.steady` — warm-up trimming, steady-state detection
   and throughput-vs-latency knee finding over those windows;
-* :mod:`repro.obs.bench` — machine-readable ``BENCH_*.json`` perf
-  artifacts and the ``bench --check`` regression gate;
 * :mod:`repro.obs.cli` — the ``python -m repro obs`` / ``bench``
-  front ends.
+  front ends (the result documents themselves are declared in
+  :mod:`repro.artifacts`).
 
 Everything here observes and never steers: attaching a profiler or a
 tracer must leave every :class:`~repro.common.stats.SimStats` counter

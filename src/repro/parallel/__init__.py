@@ -18,7 +18,8 @@ Layout:
   :class:`~repro.parallel.engine.WorkerCrash` error that propagates
   worker-process failures to a non-zero CLI exit;
 * :mod:`repro.parallel.tasks` — top-level, spawn-safe task functions
-  (one per sweep kind) that rebuild simulator state inside the worker;
+  (one per campaign kind, one for every registered result document)
+  that rebuild simulator state inside the worker;
 * :mod:`repro.parallel.merge` — deterministic result merges (tracer
   re-wrapping for trace export, host-field stripping for equivalence
   comparisons).

@@ -18,13 +18,14 @@ R`` offers R requests per kilocycle spread over the clients, and
     python -m repro serve --populations 4 --duration 1000000 --jobs 4
 
 The grid sweep + regression gate lives under ``python -m repro bench
---service`` (see :mod:`repro.service.bench`); the checked-in sustained
-artifact under ``python -m repro bench --sustained``.
+service``; the checked-in sustained artifact under ``python -m repro
+bench sustained_service`` (see :mod:`repro.artifacts`).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 from typing import List, Optional
 
@@ -280,60 +281,43 @@ def serve_main(argv: "Optional[List[str]]" = None) -> int:
 
 def _curve_main(args) -> int:
     """The ``serve --curve`` arrival-rate sweep."""
+    from repro import artifacts
     from repro.parallel.engine import resolve_jobs
-    from repro.service.curve import (
-        DEFAULT_CURVE_ARRIVALS,
-        DEFAULT_CURVE_SCHEMES,
-        curve_to_table,
-        format_curve,
-        run_curve,
-    )
+    from repro.service.curve import curve_to_table, format_curve
 
-    schemes = (
-        tuple(s.strip() for s in args.curve_schemes.split(",") if s.strip())
-        if args.curve_schemes
-        else DEFAULT_CURVE_SCHEMES
-    )
-    arrivals = (
-        tuple(int(a) for a in args.curve_arrivals.split(",") if a.strip())
-        if args.curve_arrivals
-        else DEFAULT_CURVE_ARRIVALS
-    )
-    doc = run_curve(
-        schemes=schemes,
-        arrivals=arrivals,
-        workload=args.workload,
-        seed=args.seed,
-        jobs=resolve_jobs(args.jobs),
-        duration_cycles=args.duration,
-    )
-    wrote = False
+    params = artifacts.CurveParams(workload=args.workload, seed=args.seed,
+                                   duration_cycles=args.duration)
+    if args.curve_schemes:
+        schemes = tuple(s.strip() for s in args.curve_schemes.split(",") if s.strip())
+        params = dataclasses.replace(params, schemes=schemes)
+    if args.curve_arrivals:
+        arrivals = tuple(int(a) for a in args.curve_arrivals.split(",") if a.strip())
+        params = dataclasses.replace(params, arrivals=arrivals)
+    doc = artifacts.run("curve_service", params, jobs=resolve_jobs(args.jobs))
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        artifacts.write_json(args.json, doc)
         print(f"wrote {args.json}")
-        wrote = True
     if args.table:
         with open(args.table, "w") as fh:
             fh.write(curve_to_table(doc))
         print(f"wrote {args.table}")
-        wrote = True
-    if not wrote:
+    if not (args.json or args.table):
         print(format_curve(doc))
     return 0
 
 
 def _sustained_main(args) -> int:
     """The ``serve --populations P`` sharded-population fan-out."""
+    from repro import artifacts
     from repro.parallel.engine import resolve_jobs
-    from repro.service.sustained import format_sustained, run_sustained
+    from repro.service.sustained import format_sustained
 
     if args.duration is None:
         raise SystemExit("--populations requires --duration")
     if args.mode != "open":
         raise SystemExit("--populations requires the open client loop")
-    doc = run_sustained(
+    params = dataclasses.replace(
+        artifacts.SustainedParams(),
         populations=args.populations,
         clients_per_population=args.clients,
         workload=args.workload,
@@ -347,12 +331,10 @@ def _sustained_main(args) -> int:
         duration_cycles=args.duration,
         locking=args.locking,
         seed=args.seed,
-        jobs=resolve_jobs(args.jobs),
     )
+    doc = artifacts.run("sustained_service", params, jobs=resolve_jobs(args.jobs))
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        artifacts.write_json(args.json, doc)
         print(f"wrote {args.json}")
         return 0
     print(format_sustained(doc))

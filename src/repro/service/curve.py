@@ -26,24 +26,16 @@ and merging only ever happen within a cell.
 
 Artifacts: a JSON document (full per-cell summaries + window series)
 and a gnuplot-friendly table (one dataset block per scheme), written
-under ``benchmarks/results/`` by ``python -m repro bench --curves`` and
-checked in — the determinism suite re-derives them.
+under ``benchmarks/results/`` by ``python -m repro bench curve_service``
+and checked in — the determinism suite re-derives them.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from repro.obs.steady import curve_table, knee_index, steady_summary
 from repro.obs.telemetry import TelemetryWindows
-
-#: The two schemes every checked-in curve compares: the paper's
-#: selective-logging design against the FG hardware baseline.
-DEFAULT_CURVE_SCHEMES = ("FG", "SLPMT")
-
-#: Offered-load sweep, as mean per-client interarrival cycles, from
-#: light load to past saturation (descending gap = ascending load).
-DEFAULT_CURVE_ARRIVALS = (4000, 2000, 1200, 800, 500)
 
 #: Curve-cell service shape: small enough for CI, long enough that
 #: every analysed window holds ~25-40 completions.  The batch size is
@@ -144,82 +136,31 @@ def run_curve_cell(
     return cell
 
 
-def run_curve(
-    *,
-    schemes: "Sequence[str]" = DEFAULT_CURVE_SCHEMES,
-    arrivals: "Sequence[int]" = DEFAULT_CURVE_ARRIVALS,
-    workload: str = "hashtable",
-    seed: int = 2023,
-    jobs: int = 1,
-    duration_cycles: "Optional[int]" = None,
-    progress=None,
-) -> Dict[str, Any]:
-    """The full curve document: every (scheme, arrival) cell, knees
-    marked per scheme.
-
-    With ``jobs > 1`` cells run on the parallel engine; results are
-    collected in submission order, so the document is byte-identical to
-    a serial sweep.  With *duration_cycles* every cell runs in duration
-    mode instead of a fixed request count.
-    """
-    from repro.parallel.engine import run_tasks
-    from repro.parallel.tasks import curve_cell
-
-    kwargs_list = [
-        {
-            "scheme": scheme,
-            "arrival_cycles": arrival,
-            "workload": workload,
-            "seed": seed,
-            "duration_cycles": duration_cycles,
-        }
-        for scheme in schemes
-        for arrival in arrivals
-    ]
-    labels = [
-        f"curve/{kw['scheme']}/a{kw['arrival_cycles']}" for kw in kwargs_list
-    ]
-    cells = run_tasks(
-        curve_cell, kwargs_list, jobs=jobs, labels=labels, progress=progress
-    )
-    # host_ms is wall-clock; everything else in a cell is simulated and
-    # deterministic, and the artifact must stay byte-identical across
-    # serial and --jobs runs.
-    for cell in cells:
-        cell.pop("host_ms", None)
-    rows: List[Dict[str, Any]] = []
+def reduce_curve(params, rows) -> Dict[str, Any]:
+    """The curve document body: every (scheme, arrival) cell in
+    ascending offered load, knees marked per scheme."""
+    points: List[Dict[str, Any]] = []
     knees: Dict[str, Dict[str, Any]] = {}
-    for scheme in schemes:
-        points = [c for c in cells if c["scheme"] == scheme]
+    for scheme in params.schemes:
+        # host_ms is wall-clock; the document holds simulated numbers only.
+        mine = [
+            {k: v for k, v in cell.items() if k != "host_ms"}
+            for _, _, cell in rows
+            if cell["scheme"] == scheme
+        ]
         # Ascending offered load, the order knee_index requires.
-        points.sort(key=lambda c: c["offered_kcyc"])
+        mine.sort(key=lambda c: c["offered_kcyc"])
         knee = knee_index(
-            [p["throughput_kcyc"] for p in points],
-            [p["p95"] for p in points],
+            [p["throughput_kcyc"] for p in mine], [p["p95"] for p in mine]
         )
-        for i, point in enumerate(points):
-            point = dict(point)
+        for i, point in enumerate(mine):
             point["knee"] = i == knee
-            rows.append(point)
+        points.extend(mine)
         knees[scheme] = {
-            "arrival_cycles": points[knee]["arrival_cycles"],
-            "offered_kcyc": points[knee]["offered_kcyc"],
-            "throughput_kcyc": points[knee]["throughput_kcyc"],
-            "p95": points[knee]["p95"],
+            key: mine[knee][key]
+            for key in ("arrival_cycles", "offered_kcyc", "throughput_kcyc", "p95")
         }
-    doc = {
-        "kind": "curve",
-        "workload": workload,
-        "seed": seed,
-        "schemes": list(schemes),
-        "arrivals": list(arrivals),
-        "knee_metric": "p95",
-        "knees": knees,
-        "points": rows,
-    }
-    if duration_cycles is not None:
-        doc["duration_cycles"] = duration_cycles
-    return doc
+    return {"knee_metric": "p95", "knees": knees, "points": points}
 
 
 def curve_to_table(doc: Dict[str, Any]) -> str:

@@ -12,7 +12,7 @@ document parameters.
 Populations are independent simulated machines (each with its own clock
 starting at zero), which is exactly what lets the run ride the parallel
 engine: each population is one
-:func:`~repro.parallel.tasks.sustained_population_cell`, and the parent
+:func:`run_population` cell, and the parent
 folds the per-population :class:`~repro.obs.telemetry.TelemetryWindows`
 registries **in population order** via
 :func:`~repro.obs.telemetry.merge_telemetry` — the byte-identical
@@ -27,48 +27,25 @@ steady-state throughput of the *merged* registry with the straddled
 tail window trimmed (:func:`~repro.obs.steady.steady_summary` with
 ``horizon_cycles``).
 
-The checked-in artifact lives at :data:`DEFAULT_SUSTAINED_PATH` and is
-gated by ``python -m repro bench --sustained --check`` (exact compare,
-modulo host timing) and ``python -m repro obs equivalence --sustained``
-(serial vs ``--jobs N`` byte-identity on a reduced shape).
+The checked-in artifact is registered as ``sustained_service`` in
+:mod:`repro.artifacts`: ``python -m repro bench sustained_service
+--check`` gates it (exact compare, modulo host timing) and ``python -m
+repro obs equivalence sustained_service`` proves serial == ``--jobs N``
+on a reduced shape.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
-import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.obs.steady import steady_summary
 from repro.obs.telemetry import TelemetryWindows, merge_telemetry
 
-#: The checked-in sustained-run artifact.
-DEFAULT_SUSTAINED_PATH = "benchmarks/results/sustained_service.json"
-
-SCHEMA_VERSION = 2
-
-#: Default sustained shape: 4 populations x 8 clients at ~75% of the
-#: service's measured capacity (~1.1 req/kcyc on this shape), run for
-#: 320M cycles — just over a million requests total, the smallest run
-#: that exercises campaign-scale volume while staying CI-affordable to
-#: regenerate.
-DEFAULT_POPULATIONS = 4
-DEFAULT_CLIENTS_PER_POPULATION = 8
-DEFAULT_SUSTAINED_WORKLOAD = "hashtable"
-DEFAULT_SUSTAINED_SCHEME = "SLPMT"
-DEFAULT_SUSTAINED_VALUE_BYTES = 32
-DEFAULT_SUSTAINED_KEYS = 128
-DEFAULT_SUSTAINED_THETA = 0.6
-DEFAULT_SUSTAINED_ARRIVAL = 9600
-DEFAULT_SUSTAINED_BATCH = 8
-DEFAULT_SUSTAINED_DURATION = 320_000_000
-DEFAULT_SUSTAINED_SEED = 2023
-
-#: Per-population recording granularity; the merged registry is
-#: rebinned to ~:data:`TARGET_SUSTAINED_WINDOWS` windows for the
+#: The merged registry is rebinned to ~this many windows for the
 #: checked-in series and the steady detection.
-SUSTAINED_WINDOW_CYCLES = 262_144
 TARGET_SUSTAINED_WINDOWS = 24
 
 #: Counters every population cell carries into the artifact totals.
@@ -86,125 +63,77 @@ _TOTAL_FIELDS = (
 )
 
 
-def run_sustained(
-    *,
-    populations: int = DEFAULT_POPULATIONS,
-    clients_per_population: int = DEFAULT_CLIENTS_PER_POPULATION,
-    workload: str = DEFAULT_SUSTAINED_WORKLOAD,
-    scheme: str = DEFAULT_SUSTAINED_SCHEME,
-    value_bytes: int = DEFAULT_SUSTAINED_VALUE_BYTES,
-    num_keys: int = DEFAULT_SUSTAINED_KEYS,
-    theta: float = DEFAULT_SUSTAINED_THETA,
-    arrival_cycles: int = DEFAULT_SUSTAINED_ARRIVAL,
-    target_load: "Optional[float]" = None,
-    batch_size: int = DEFAULT_SUSTAINED_BATCH,
-    duration_cycles: int = DEFAULT_SUSTAINED_DURATION,
-    window_cycles: int = SUSTAINED_WINDOW_CYCLES,
-    locking: bool = False,
-    seed: int = DEFAULT_SUSTAINED_SEED,
-    jobs: int = 1,
-    progress=None,
+def population_cells(params) -> List[Dict[str, Any]]:
+    """One cell per population, each on its own global client-id slice;
+    every other param passes through unchanged."""
+    shared = dataclasses.asdict(params)
+    size = shared.pop("clients_per_population")
+    count = shared.pop("populations")
+    return [
+        dict(shared, population=p, client_base=p * size, clients=size)
+        for p in range(count)
+    ]
+
+
+def run_population(
+    *, population, client_base, clients, batch_size, window_cycles, **kwargs
 ) -> Dict[str, Any]:
-    """Run one sustained deployment and build its artifact document.
+    """One client population: a full duration-mode service with its own
+    machine, clock and telemetry registry.
 
-    *target_load* is the offered load in requests per kilocycle **per
-    population** (spread over its clients); it overrides
-    *arrival_cycles* exactly as
-    :attr:`~repro.service.server.ServiceConfig.effective_arrival_cycles`
-    documents.  Everything in the returned document except the ``host``
-    block is simulated and deterministic from the arguments.
+    The slice is identified purely by ``client_base``: every stream and
+    arrival seed hashes the *global* client id, so the population
+    simulated serially or in a worker produces the identical request
+    sequence.  The registry comes back in its ``to_dict`` form.
     """
-    if populations < 1:
-        raise ValueError("populations must be at least 1")
-    from repro.parallel.engine import run_tasks
-    from repro.parallel.tasks import sustained_population_cell
+    from repro.service.server import ServiceConfig, run_service
+    from repro.service.tm import GroupCommitPolicy
 
-    kwargs_list = [
-        {
-            "population": p,
-            "client_base": p * clients_per_population,
-            "workload": workload,
-            "scheme": scheme,
-            "clients": clients_per_population,
-            "value_bytes": value_bytes,
-            "num_keys": num_keys,
-            "theta": theta,
-            "arrival_cycles": arrival_cycles,
-            "target_load": target_load,
-            "batch_size": batch_size,
-            "duration_cycles": duration_cycles,
-            "window_cycles": window_cycles,
-            "locking": locking,
-            "seed": seed,
-        }
-        for p in range(populations)
-    ]
-    labels = [f"sustained/p{p}" for p in range(populations)]
-    t0 = time.perf_counter()
-    cells = run_tasks(
-        sustained_population_cell,
-        kwargs_list,
-        jobs=jobs,
-        labels=labels,
-        progress=progress,
+    telemetry = TelemetryWindows(window_cycles)
+    res = run_service(
+        ServiceConfig(
+            num_clients=clients,
+            client_base=client_base,
+            mode="open",
+            keep_responses=False,
+            batch=GroupCommitPolicy(batch_size=batch_size),
+            **kwargs,
+        ),
+        telemetry=telemetry,
     )
-    host_seconds = time.perf_counter() - t0
+    cell = {"population": population, "client_base": client_base, "clients": clients}
+    for name in _TOTAL_FIELDS + ("cycles",):
+        cell[name] = getattr(res, name)
+    cell["telemetry"] = telemetry.to_dict()
+    return cell
 
-    # Ordered merge: population 0 first, always — the same contract the
-    # parallel bench sweeps honour, so serial and --jobs N agree.
-    registries = [
-        TelemetryWindows.from_dict(cell.pop("telemetry")) for cell in cells
-    ]
-    merged = merge_telemetry(registries)
-    #: Exact fingerprint of the *fine* merged registry: the checked-in
-    #: document only carries the rebinned series, so this digest is what
-    #: pins the byte-identical merge at full resolution.
-    telemetry_sha256 = hashlib.sha256(
-        json.dumps(merged.to_dict(), sort_keys=True).encode()
-    ).hexdigest()
+
+def reduce_sustained(params, rows) -> Dict[str, Any]:
+    """Fold the populations **in population order** (the byte-identical
+    ordered-merge contract) and quote the merged steady state."""
+    cells = [dict(cell) for _, _, cell in rows]
+    merged = merge_telemetry(
+        [TelemetryWindows.from_dict(cell.pop("telemetry")) for cell in cells]
+    )
     rebinned = merged.rebinned(
         max(1, merged.num_windows // TARGET_SUSTAINED_WINDOWS)
     )
-    steady = steady_summary(rebinned, horizon_cycles=duration_cycles)
-
-    per_population: List[Dict[str, Any]] = []
-    for cell in cells:
-        row = dict(cell)
-        row.pop("host_ms", None)
-        per_population.append(row)
-    totals = {
-        name: sum(cell[name] for cell in cells) for name in _TOTAL_FIELDS
-    }
     return {
-        "kind": "sustained",
-        "schema_version": SCHEMA_VERSION,
-        "params": {
-            "populations": populations,
-            "clients_per_population": clients_per_population,
-            "num_clients": populations * clients_per_population,
-            "workload": workload,
-            "scheme": scheme,
-            "value_bytes": value_bytes,
-            "num_keys": num_keys,
-            "theta": theta,
-            "arrival_cycles": arrival_cycles,
-            "target_load": target_load,
-            "batch_size": batch_size,
-            "duration_cycles": duration_cycles,
-            "window_cycles": window_cycles,
-            "locking": locking,
-            "seed": seed,
+        "totals": {
+            name: sum(cell[name] for cell in cells) for name in _TOTAL_FIELDS
         },
-        "totals": totals,
-        "per_population": per_population,
-        "steady": steady,
+        "per_population": [
+            {k: v for k, v in cell.items() if k != "host_ms"} for cell in cells
+        ],
+        "steady": steady_summary(rebinned, horizon_cycles=params.duration_cycles),
         "acked_series": rebinned.series("acked"),
         "series_window_cycles": rebinned.window_cycles,
-        "telemetry_sha256": telemetry_sha256,
-        "host": {
-            "seconds": round(host_seconds, 3),
-            "jobs": jobs,
-        },
+        # Exact fingerprint of the *fine* merged registry: the document
+        # only carries the rebinned series, so this digest pins the
+        # byte-identical merge at full resolution.
+        "telemetry_sha256": hashlib.sha256(
+            json.dumps(merged.to_dict(), sort_keys=True).encode()
+        ).hexdigest(),
     }
 
 
@@ -246,20 +175,3 @@ def format_sustained(doc: Dict[str, Any]) -> str:
         )
     lines.append(f"  telemetry sha256 {doc['telemetry_sha256'][:16]}…")
     return "\n".join(lines)
-
-
-def write_sustained(path: str, doc: Dict[str, Any]) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def load_sustained(path: str) -> Dict[str, Any]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: sustained schema {doc.get('schema_version')!r}, "
-            f"expected {SCHEMA_VERSION}"
-        )
-    return doc

@@ -18,9 +18,10 @@ Modules:
   wholesale to :class:`~repro.service.server.TransactionService` when
   ``num_shards == 1``, so the 2PC machinery is provably passive);
 * :mod:`repro.shard.recovery` — post-crash in-doubt resolution from the
-  durable decision records;
-* :mod:`repro.shard.bench` — the ``bench --twopc`` grid behind
-  ``BENCH_twopc.json``.
+  durable decision records.
+
+The ``bench twopc`` grid behind ``BENCH_twopc.json`` is declared in
+:mod:`repro.artifacts`.
 """
 
 from repro.shard.router import HashRouter, home_shard

@@ -12,9 +12,10 @@ from repro.mem.logregion import (
     KIND_TAGS,
     LOG_MAGIC,
     LOG_VERSION,
+    decode_region,
+    decode_region_tolerant,
     decode_stream,
     decode_stream_tolerant,
-    detect_version,
     encode_entry,
     entry_checksum,
     entry_wire_words,
@@ -25,25 +26,22 @@ from repro.mem.pm import DurableLogEntry, PersistentMemory
 BASE = layout.PM_HEAP_BASE
 
 
-def decode_words(words, *, version=LOG_VERSION):
+def _decode(decoder, words):
+    store = {layout.PM_LOG_BASE + i * 8: w for i, w in enumerate(words)}
+    return decoder(
+        lambda a: store.get(a, 0),
+        layout.PM_LOG_BASE,
+        layout.PM_LOG_BASE + (len(words) + 4) * 8,
+    )
+
+
+def decode_words(words):
     """Decode a hand-assembled word list as a log stream."""
-    store = {layout.PM_LOG_BASE + i * 8: w for i, w in enumerate(words)}
-    return decode_stream(
-        lambda a: store.get(a, 0),
-        layout.PM_LOG_BASE,
-        layout.PM_LOG_BASE + (len(words) + 4) * 8,
-        version=version,
-    )
+    return _decode(decode_stream, words)
 
 
-def decode_words_tolerant(words, *, version=LOG_VERSION):
-    store = {layout.PM_LOG_BASE + i * 8: w for i, w in enumerate(words)}
-    return decode_stream_tolerant(
-        lambda a: store.get(a, 0),
-        layout.PM_LOG_BASE,
-        layout.PM_LOG_BASE + (len(words) + 4) * 8,
-        version=version,
-    )
+def decode_words_tolerant(words):
+    return _decode(decode_stream_tolerant, words)
 
 
 def entry_strategy():
@@ -83,8 +81,6 @@ class TestCodec:
         # v1 adds one checksum word to every entry.
         assert entry_wire_words(DurableLogEntry("commit", 1)) == 2
         assert entry_wire_words(DurableLogEntry("undo", 1, BASE, (1, 2))) == 5
-        assert entry_wire_words(DurableLogEntry("commit", 1), version=0) == 1
-        assert entry_wire_words(DurableLogEntry("undo", 1, BASE, (1, 2)), version=0) == 4
 
     def test_oversize_payload_rejected(self):
         with pytest.raises(SimulationError):
@@ -171,41 +167,65 @@ class TestChecksums:
         assert err.value.offset == layout.PM_LOG_BASE + len(encode_entry(a)) * 8
 
 
-class TestLegacyV0:
-    """v0 streams (no header, no checksums) keep decoding."""
-
-    # Hand-computed v0 wire image: undo tx_seq=3 addr=BASE payload=(42,)
-    # then commit tx_seq=3.  Pins the legacy format word for word.
-    V0_WORDS = [
-        1 | (1 << 4) | (3 << 12), BASE, 42,  # undo header, addr, payload
-        3 | (3 << 12),  # commit marker
-    ]
-
-    def test_pinned_v0_image_decodes(self):
-        decoded = decode_words(self.V0_WORDS, version=0)
-        assert decoded == [
-            DurableLogEntry("undo", 3, BASE, (42,)),
-            DurableLogEntry("commit", 3),
-        ]
-
-    def test_version_detection(self):
-        assert detect_version(LOG_MAGIC) == LOG_VERSION
-        assert detect_version(self.V0_WORDS[0]) == 0
-        assert detect_version(0) == 0
-
-    def test_pm_accepts_handwritten_v0_stream(self):
-        pm = PersistentMemory()
-        for i, word in enumerate(self.V0_WORDS):
-            pm.write_word(layout.PM_LOG_BASE + i * 8, word)
-        assert pm.serialized_log_version() == 0
-        decoded = pm.parse_byte_log()
-        assert [e.kind for e in decoded] == ["undo", "commit"]
+class TestStreamHeader:
+    """The stream header is mandatory: damage to it is reported at the
+    log base under both policies, never parsed as another format."""
 
     def test_v1_stream_header_pinned(self):
         assert stream_header_words() == [
             int.from_bytes(b"SLPMTLOG", "little"),
             1,
         ]
+
+    def test_pristine_region_is_an_empty_clean_log(self):
+        parsed = decode_region_tolerant(
+            lambda a: 0, layout.PM_LOG_BASE, layout.PM_LOG_BASE + 64
+        )
+        assert parsed.entries == [] and parsed.clean
+        assert parsed.version == LOG_VERSION
+
+    def test_damaged_header_is_damage_at_the_base(self):
+        entry = DurableLogEntry("undo", 3, BASE, (42,))
+        words = [LOG_MAGIC ^ 1, LOG_VERSION] + encode_entry(entry)
+        parsed = _decode(decode_region_tolerant, words)
+        # The checksummed entry behind the header still decodes.
+        assert parsed.entries == [entry]
+        assert [(d.offset, d.reason) for d in parsed.damaged] == [
+            (layout.PM_LOG_BASE, "stream-header")
+        ]
+        with pytest.raises(LogParseError) as err:
+            _decode(decode_region, words)
+        assert err.value.offset == layout.PM_LOG_BASE
+
+    @pytest.mark.parametrize("scheme", ["FG", "SLPMT"])
+    def test_header_bit_flip_under_both_policies(self, scheme):
+        from repro.common.errors import LogChecksumError
+        from repro.core.machine import Machine
+        from repro.core.schemes import scheme_by_name
+        from repro.recovery.engine import recover
+        from repro.runtime.hints import MANUAL
+        from repro.runtime.ptx import PTx
+        from repro.workloads import HashTable
+
+        def image():
+            machine = Machine(scheme_by_name(scheme))
+            table = HashTable(PTx(machine, policy=MANUAL), value_bytes=64)
+            for key in range(5):
+                table.insert(key)
+            return machine.pm
+
+        clean = recover(image(), from_bytes=True, policy="salvage")
+        pm = image()
+        pm.write_word(layout.PM_LOG_BASE, LOG_MAGIC ^ (1 << 17))
+        with pytest.raises(LogChecksumError) as err:
+            recover(pm, from_bytes=True, policy="strict")
+        assert err.value.offset == layout.PM_LOG_BASE
+        report = recover(pm, from_bytes=True, policy="salvage")
+        assert report.log_version == LOG_VERSION
+        assert report.corrupt_entries == 1
+        # Only the checksummed entries behind the header are trusted:
+        # exactly the transactions (and fates) of the undamaged image.
+        assert report.dispositions == clean.dispositions
 
 
 class TestWordSoup:
@@ -215,11 +235,12 @@ class TestWordSoup:
         words=st.lists(
             st.integers(min_value=0, max_value=(1 << 64) - 1), max_size=64
         ),
-        version=st.sampled_from([0, 1]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_tolerant_never_raises(self, words, version):
-        parsed = decode_words_tolerant(words, version=version)
+    def test_tolerant_never_raises(self, words):
+        # Header-less and headed (whole-region) parses alike.
+        _decode(decode_region_tolerant, words)
+        parsed = decode_words_tolerant(words)
         # Whatever decoded must re-encode to legal wire entries.
         for entry in parsed.entries:
             assert entry.kind in KIND_TAGS
@@ -229,7 +250,7 @@ class TestWordSoup:
         for _ in range(300):
             words = [rng.getrandbits(64) for _ in range(rng.randrange(32))]
             try:
-                decode_words(words, version=rng.randrange(2))
+                decode_words(words)
             except LogParseError as err:
                 assert err.offset >= layout.PM_LOG_BASE
 

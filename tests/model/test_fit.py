@@ -11,7 +11,7 @@ from repro.model.fit import (
     geomean_error,
     holdout_points,
 )
-from repro.obs.bench import strip_host
+from repro.artifacts import strip_host
 from repro.obs.profiler import PHASES
 
 from .conftest import SMALL_GRID

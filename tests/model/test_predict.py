@@ -17,13 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import artifacts
 from repro.model.features import FEATURE_NAMES, CellSpec
 from repro.model.predict import (
     CostModel,
     ModelSchemaError,
     check_schema,
     load_model,
-    write_model,
 )
 from repro.obs.profiler import PHASES
 
@@ -193,9 +193,9 @@ class TestCheckedInArtifact:
 class TestWriteModel:
     def test_round_trip_byte_stable(self, small_doc, tmp_path):
         path = tmp_path / "m.json"
-        write_model(path, small_doc)
+        artifacts.write("cost_model", small_doc, str(path))
         first = path.read_bytes()
-        write_model(path, load_model(path).doc)
+        artifacts.write("cost_model", load_model(path).doc, str(path))
         assert path.read_bytes() == first
         assert first.endswith(b"\n")
 
@@ -203,10 +203,10 @@ class TestWriteModel:
         doc = copy.deepcopy(small_doc)
         doc["kind"] = "nope"
         with pytest.raises(ModelSchemaError):
-            write_model(tmp_path / "m.json", doc)
+            artifacts.write("cost_model", doc, str(tmp_path / "m.json"))
 
     def test_json_is_sorted_and_parseable(self, small_doc, tmp_path):
         path = tmp_path / "m.json"
-        write_model(path, small_doc)
+        artifacts.write("cost_model", small_doc, str(path))
         parsed = json.loads(path.read_text())
         assert parsed["kind"] == "cost-model"

@@ -5,25 +5,27 @@ import json
 
 import pytest
 
-from repro.obs import bench
+from repro import artifacts as bench
+from repro.artifacts import YcsbParams
+
+# Tiny but real sweep: 2 workloads x 2 schemes.
+PARAMS = YcsbParams(
+    workloads=("hashtable", "rbtree"),
+    schemes=("FG", "SLPMT"),
+    num_ops=60,
+    value_bytes=64,
+    seed=6,
+)
 
 
 @pytest.fixture(scope="module")
 def doc():
-    # Tiny but real sweep: 2 workloads x 2 schemes.
-    return bench.run_bench(
-        name="test",
-        workloads=("hashtable", "rbtree"),
-        schemes=("FG", "SLPMT"),
-        num_ops=60,
-        value_bytes=64,
-        seed=6,
-    )
+    return bench.run("slpmt_ycsb", PARAMS)
 
 
 class TestArtifact:
     def test_document_shape(self, doc):
-        assert doc["schema_version"] == bench.SCHEMA_VERSION
+        assert doc["schema_version"] == bench.get("slpmt_ycsb").schema_version
         assert set(doc["cells"]) == {
             "hashtable/FG", "hashtable/SLPMT", "rbtree/FG", "rbtree/SLPMT",
         }
@@ -47,8 +49,8 @@ class TestArtifact:
 
     def test_write_load_round_trip(self, doc, tmp_path):
         path = tmp_path / "BENCH_test.json"
-        bench.write_bench(str(path), doc)
-        assert bench.load_bench(str(path)) == doc
+        bench.write("slpmt_ycsb", doc, str(path))
+        assert bench.load("slpmt_ycsb", str(path)) == doc
         # And it is valid JSON with sorted keys (stable diffs).
         raw = path.read_text()
         assert json.loads(raw) == doc
@@ -56,9 +58,9 @@ class TestArtifact:
     def test_load_rejects_wrong_schema(self, doc, tmp_path):
         path = tmp_path / "bad.json"
         wrong = dict(doc, schema_version=99)
-        bench.write_bench(str(path), wrong)
-        with pytest.raises(ValueError, match="schema"):
-            bench.load_bench(str(path))
+        bench.write("slpmt_ycsb", wrong, str(path))
+        with pytest.raises(bench.ArtifactError, match="schema"):
+            bench.load("slpmt_ycsb", str(path))
 
 
 class TestCheck:
@@ -76,14 +78,7 @@ class TestCheck:
         from repro.harness.runner import _cached
 
         _cached.cache_clear()
-        again = bench.run_bench(
-            name="test",
-            workloads=("hashtable", "rbtree"),
-            schemes=("FG", "SLPMT"),
-            num_ops=60,
-            value_bytes=64,
-            seed=6,
-        )
+        again = bench.run("slpmt_ycsb", PARAMS)
         assert bench.strip_host(again) == bench.strip_host(doc)
 
     def test_strip_host_removes_only_host_fields(self, doc):
@@ -139,16 +134,9 @@ class TestCheck:
         # the same parameters — the real CI gate, run as a test.
         from pathlib import Path
 
-        path = Path(__file__).resolve().parents[2] / bench.DEFAULT_BASELINE
-        baseline = bench.load_bench(str(path))
-        params = baseline["params"]
-        current = bench.run_bench(
-            name=baseline["name"],
-            workloads=tuple(params["workloads"]),
-            schemes=tuple(params["schemes"]),
-            num_ops=params["num_ops"],
-            value_bytes=params["value_bytes"],
-            seed=params["seed"],
-        )
+        spec = bench.get("slpmt_ycsb")
+        path = Path(__file__).resolve().parents[2] / spec.path
+        baseline = bench.load(spec.name, str(path))
+        current = bench.run(spec.name, bench.params_of(spec, baseline))
         result = bench.check_bench(current, baseline)
         assert result.ok, bench.format_check(result, threshold=0.02)

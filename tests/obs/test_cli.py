@@ -4,8 +4,8 @@ import json
 
 import pytest
 
+from repro import artifacts
 from repro.__main__ import main
-from repro.obs import bench
 from repro.obs.cli import bench_main, obs_main
 
 
@@ -70,7 +70,7 @@ class TestObsCli:
 
 class TestBenchCli:
     def test_sweep_prints_geomeans(self, tmp_path, capsys, monkeypatch):
-        rc = bench_main(["--ops", "40", "--name", "smoke"])
+        rc = bench_main(["--ops", "40"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "SLPMT" in out and "geomean" in out
@@ -90,19 +90,22 @@ class TestBenchCli:
         # regression: the gate must exit non-zero.
         path = tmp_path / "BENCH_smoke.json"
         bench_main(["--ops", "40", "--baseline", str(path), "--update"])
-        doc = bench.load_bench(str(path))
+        doc = artifacts.load("slpmt_ycsb", str(path))
         for cell in doc["cells"].values():
             cell["cycles"] = int(cell["cycles"] * 0.80)
         for geo in doc["geomean"].values():
             geo["cycles"] = round(geo["cycles"] * 0.80, 1)
-        bench.write_bench(str(path), doc)
+        artifacts.write("slpmt_ycsb", doc, str(path))
         capsys.readouterr()
         rc = bench_main(["--ops", "40", "--baseline", str(path), "--check"])
         assert rc == 1
         assert "REGRESSION" in capsys.readouterr().out
 
-    def test_check_rejects_mismatched_params(self, tmp_path):
+    def test_check_rejects_mismatched_params(self, tmp_path, capsys):
         path = tmp_path / "BENCH_smoke.json"
         bench_main(["--ops", "40", "--baseline", str(path), "--update"])
-        with pytest.raises(ValueError, match="parameters"):
-            bench_main(["--ops", "41", "--baseline", str(path), "--check"])
+        capsys.readouterr()
+        assert bench_main(
+            ["--ops", "41", "--baseline", str(path), "--check"]
+        ) == 2
+        assert "params differ" in capsys.readouterr().err

@@ -12,7 +12,7 @@ from repro.fuzz.cli import fuzz_main
 from repro.obs.cli import bench_main
 from repro.parallel.tasks import POISON_ENV
 
-BENCH_ARGS = ["--ops", "20", "--name", "poison_smoke"]
+BENCH_ARGS = ["--ops", "20"]
 FUZZ_ARGS = [
     "--budget", "4", "--ops", "3", "--workloads", "hashtable",
 ]

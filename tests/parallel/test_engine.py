@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.errors import ReproError
 from repro.parallel import engine
-from repro.parallel.tasks import POISON_ENV, bench_cell
+from repro.parallel.tasks import POISON_ENV, artifact_cell
 
 
 def _double(*, x):
@@ -68,10 +68,11 @@ class TestRunTasksSerial:
 
 class TestRunTasksParallel:
     def test_results_in_submission_order(self):
-        # bench_cell is the real spawn-safe task; tiny grid keeps the
+        # artifact_cell is the real spawn-safe task; tiny grid keeps the
         # worker wall-clock small.
         descriptors = [
             {
+                "name": "slpmt_ycsb",
                 "workload": "hashtable",
                 "scheme": scheme,
                 "num_ops": 20,
@@ -80,8 +81,8 @@ class TestRunTasksParallel:
             }
             for scheme in ("FG", "SLPMT")
         ]
-        serial = engine.run_tasks(bench_cell, descriptors, jobs=1)
-        parallel = engine.run_tasks(bench_cell, descriptors, jobs=2)
+        serial = engine.run_tasks(artifact_cell, descriptors, jobs=1)
+        parallel = engine.run_tasks(artifact_cell, descriptors, jobs=2)
         for s, p in zip(serial, parallel):
             s = dict(s)
             p = dict(p)
@@ -93,6 +94,7 @@ class TestRunTasksParallel:
         monkeypatch.setenv(POISON_ENV, "hashtable/SLPMT")
         descriptors = [
             {
+                "name": "slpmt_ycsb",
                 "workload": "hashtable",
                 "scheme": scheme,
                 "num_ops": 20,
@@ -103,7 +105,7 @@ class TestRunTasksParallel:
         ]
         with pytest.raises(engine.WorkerCrash, match="hashtable/SLPMT"):
             engine.run_tasks(
-                bench_cell,
+                artifact_cell,
                 descriptors,
                 jobs=2,
                 labels=["hashtable/FG", "hashtable/SLPMT"],

@@ -9,6 +9,7 @@ from repro.common.errors import (
 )
 from repro.core.ordering import LoggingMode
 from repro.mem import layout
+from repro.mem.logregion import LOG_VERSION, ParsedLog
 from repro.mem.pm import DurableLogEntry, PersistentMemory
 from repro.recovery.engine import PmView, recover
 
@@ -56,7 +57,8 @@ class TestCleanRecovery:
         recover(pm, mode=LoggingMode.UNDO)
         assert pm.log == []
         assert pm.parse_byte_log() == []
-        assert pm.serialized_log_version() == 0  # pristine region
+        # Pristine region: an empty, clean log of the current version.
+        assert pm.parse_byte_log_tolerant() == ParsedLog(version=LOG_VERSION)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(SimulationError):

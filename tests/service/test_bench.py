@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.obs.bench import check_bench, strip_host
+from repro import artifacts
+from repro.artifacts import SERVICE_MIX, ServiceParams, check_bench, strip_host
 from repro.parallel import tasks as partasks
-from repro.service.bench import SCHEMA_VERSION, SERVICE_MIX, run_service_bench
 
 CELL_KWARGS = dict(
     workload="hashtable",
@@ -21,7 +21,7 @@ CELL_KWARGS = dict(
     seed=11,
 )
 
-GRID_KWARGS = dict(
+GRID_PARAMS = ServiceParams(
     workloads=("hashtable",),
     schemes=("FG", "SLPMT"),
     batches=(1, 4),
@@ -37,7 +37,7 @@ GRID_KWARGS = dict(
 
 class TestServiceBenchCell:
     def test_cell_document_shape(self):
-        doc = partasks.service_bench_cell(**CELL_KWARGS)
+        doc = partasks.artifact_cell(name="service", **CELL_KWARGS)
         for key in (
             "cycles", "pm_bytes", "requests", "acked", "shed", "reads",
             "batches", "committed_writes", "commit_persist_cycles",
@@ -53,8 +53,8 @@ class TestServiceBenchCell:
         }
 
     def test_cell_deterministic_modulo_host(self):
-        a = partasks.service_bench_cell(**CELL_KWARGS)
-        b = partasks.service_bench_cell(**CELL_KWARGS)
+        a = partasks.artifact_cell(name="service", **CELL_KWARGS)
+        b = partasks.artifact_cell(name="service", **CELL_KWARGS)
         a.pop("host_ms"), b.pop("host_ms")
         assert a == b
 
@@ -62,10 +62,10 @@ class TestServiceBenchCell:
 class TestRunServiceBench:
     @pytest.fixture(scope="class")
     def doc(self):
-        return run_service_bench(**GRID_KWARGS)
+        return artifacts.run("service", GRID_PARAMS)
 
     def test_document_shape(self, doc):
-        assert doc["schema_version"] == SCHEMA_VERSION
+        assert doc["schema_version"] == artifacts.get("service").schema_version
         assert doc["name"] == "service"
         assert set(doc["cells"]) == {
             "hashtable/FG/b1", "hashtable/FG/b4",
@@ -89,7 +89,7 @@ class TestRunServiceBench:
         assert not result.regressions
 
     def test_parallel_sweep_matches_serial(self, doc):
-        two = run_service_bench(jobs=2, **GRID_KWARGS)
+        two = artifacts.run("service", GRID_PARAMS, jobs=2)
         assert strip_host(two) == strip_host(doc)
 
     def test_grid_isolates_batch_axis(self, doc):

@@ -5,12 +5,10 @@ import os
 
 import pytest
 
+from repro import artifacts
+from repro.artifacts import CurveParams
 from repro.service.cli import serve_main
-from repro.service.curve import (
-    curve_to_table,
-    run_curve,
-    run_curve_cell,
-)
+from repro.service.curve import curve_to_table, run_curve_cell
 
 # One small sweep shared across the file (cells are full service runs).
 SCHEMES = ("FG", "SLPMT")
@@ -19,7 +17,9 @@ ARRIVALS = (4000, 1200)
 
 @pytest.fixture(scope="module")
 def curve_doc():
-    return run_curve(schemes=SCHEMES, arrivals=ARRIVALS, seed=2023)
+    return artifacts.run(
+        "curve_service", CurveParams(schemes=SCHEMES, arrivals=ARRIVALS)
+    )
 
 
 class TestCurveCell:
@@ -54,8 +54,10 @@ class TestCurveDocument:
             assert sum(1 for p in points if p["knee"]) == 1
 
     def test_parallel_sweep_byte_identical_to_serial(self, curve_doc):
-        parallel = run_curve(
-            schemes=SCHEMES, arrivals=ARRIVALS, seed=2023, jobs=2
+        parallel = artifacts.run(
+            "curve_service",
+            CurveParams(schemes=SCHEMES, arrivals=ARRIVALS),
+            jobs=2,
         )
         assert json.dumps(parallel, sort_keys=True) == json.dumps(
             curve_doc, sort_keys=True

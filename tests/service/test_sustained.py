@@ -1,22 +1,20 @@
 """Sustained campaign runs: sharded populations, ordered merge,
 serial == --jobs N byte-equality, artifact round-trip."""
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.obs.bench import strip_host
-from repro.service.sustained import (
-    SCHEMA_VERSION,
-    format_sustained,
-    load_sustained,
-    run_sustained,
-    write_sustained,
-)
+from repro import artifacts
+from repro.artifacts import SustainedParams, strip_host
+from repro.service.sustained import format_sustained
+
+SCHEMA_VERSION = artifacts.get("sustained_service").schema_version
 
 #: Small but misaligned shape: 60_000 / 4096 = 14.65 windows, so the
 #: final telemetry window straddles the horizon in every population.
-SHAPE = dict(
+SHAPE = SustainedParams(
     populations=3,
     clients_per_population=2,
     duration_cycles=60_000,
@@ -29,7 +27,7 @@ SHAPE = dict(
 
 @pytest.fixture(scope="module")
 def serial_doc():
-    return run_sustained(**SHAPE)
+    return artifacts.run("sustained_service", SHAPE)
 
 
 class TestRun:
@@ -63,21 +61,23 @@ class TestRun:
 
 class TestMergeEquivalence:
     def test_jobs_run_is_byte_identical_to_serial(self, serial_doc):
-        split = run_sustained(**SHAPE, jobs=2)
+        split = artifacts.run("sustained_service", SHAPE, jobs=2)
         a = json.dumps(strip_host(serial_doc), sort_keys=True)
         b = json.dumps(strip_host(split), sort_keys=True)
         assert a == b
 
     def test_seed_moves_the_telemetry_sha(self, serial_doc):
-        other = run_sustained(**{**SHAPE, "seed": 14})
+        other = artifacts.run(
+            "sustained_service", dataclasses.replace(SHAPE, seed=14)
+        )
         assert other["telemetry_sha256"] != serial_doc["telemetry_sha256"]
 
 
 class TestArtifact:
     def test_write_load_roundtrip(self, serial_doc, tmp_path):
         path = tmp_path / "sustained.json"
-        write_sustained(str(path), serial_doc)
-        loaded = load_sustained(str(path))
+        artifacts.write("sustained_service", serial_doc, str(path))
+        loaded = artifacts.load("sustained_service", str(path))
         assert strip_host(loaded) == strip_host(serial_doc)
 
     def test_load_rejects_wrong_schema(self, serial_doc, tmp_path):
@@ -85,8 +85,8 @@ class TestArtifact:
         stale["schema_version"] = SCHEMA_VERSION - 1
         path = tmp_path / "stale.json"
         path.write_text(json.dumps(stale))
-        with pytest.raises(ValueError, match="schema"):
-            load_sustained(str(path))
+        with pytest.raises(artifacts.ArtifactError, match="schema"):
+            artifacts.load("sustained_service", str(path))
 
     def test_format_mentions_the_headline_numbers(self, serial_doc):
         text = format_sustained(serial_doc)

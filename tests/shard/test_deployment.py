@@ -7,7 +7,7 @@ import pytest
 
 from repro.fuzz.campaign import STRESS_CONFIG
 from repro.service.admission import AdmissionPolicy
-from repro.service.bench import SERVICE_MIX
+from repro.artifacts import SERVICE_MIX
 from repro.service.tm import GroupCommitPolicy
 from repro.shard.deployment import ShardedConfig, ShardedDeployment, run_sharded
 from repro.shard.router import home_shard
