@@ -101,8 +101,13 @@ class InterleavedScheduler:
 
     # --- worker-facing API ------------------------------------------------
 
-    def checkpoint(self, tid: int) -> None:
+    def checkpoint(self, tid: int, *, yield_turn: bool = True) -> None:
         """Yield the turn, then block until it is *tid*'s again.
+
+        With ``yield_turn=False`` the call only waits for the turn and
+        never draws: a worker's entry into :meth:`run` must not consume
+        an RNG draw, or the schedule would depend on whether its OS
+        thread started before the turn reached it.
 
         Raises :class:`PowerFailure` for every thread once
         :meth:`crash_all` was called (or an armed
@@ -117,7 +122,7 @@ class InterleavedScheduler:
                 # Outside a run() (setup, preload, validation from the
                 # driving thread) there is nothing to interleave with.
                 return
-            if self._current == tid:
+            if yield_turn and self._current == tid:
                 # We finished our previous instruction: draw the next
                 # turn (this is the only place the RNG is consumed, and
                 # only the turn holder reaches it — determinism).
@@ -196,7 +201,7 @@ class InterleavedScheduler:
         def wrap(tid: int, body: Callable[[], None]) -> None:
             try:
                 # Wait for the first turn before touching shared state.
-                self.checkpoint(tid)
+                self.checkpoint(tid, yield_turn=False)
                 body()
             except PowerFailure:
                 pass  # expected unwinding during a crash
@@ -214,6 +219,11 @@ class InterleavedScheduler:
             self._running = True
             self._runnable = set(range(self.num_threads))
             self._current = None
+            self._pick_next()
+            # The initial holder's startup yield, drawn here rather than
+            # at its entry checkpoint: this keeps the pinned draw
+            # sequence (two draws before any worker body runs) while no
+            # draw depends on thread start-up order.
             self._pick_next()
         for t in threads:
             t.start()

@@ -228,3 +228,46 @@ class TestCrashAtSwitch:
         scheduler, trace = self.armed_run(10_000)
         assert not scheduler.crashed
         assert sorted(trace) == [(t, s) for t in range(2) for s in range(50)]
+
+
+class TestStartupOrder:
+    """The schedule must not depend on when each worker's OS thread
+    starts: a worker that arrives late at its entry checkpoint (after
+    the turn already reached it) must not consume an extra RNG draw."""
+
+    @staticmethod
+    def _contention_run(monkeypatch, late_tid):
+        from repro.fuzz.campaign import (
+            STRESS_CONFIG,
+            MultiCoreCell,
+            _build_contention,
+        )
+        from repro.workloads.shared import replay_contention
+
+        original = InterleavedScheduler.checkpoint
+        delayed = set()
+
+        def checkpoint(self, tid, **kwargs):
+            if tid == late_tid and tid not in delayed:
+                delayed.add(tid)
+                time.sleep(0.2)
+            return original(self, tid, **kwargs)
+
+        monkeypatch.setattr(InterleavedScheduler, "checkpoint", checkpoint)
+        system, subject, streams = _build_contention(
+            MultiCoreCell("hashtable", "FG", 4, 0.9),
+            ops_per_core=10, num_keys=16, value_bytes=32, seed=7,
+            config=STRESS_CONFIG,
+        )
+        replay_contention(system, subject, streams)
+        monkeypatch.setattr(InterleavedScheduler, "checkpoint", original)
+        return (
+            [core.now for core in system.cores],
+            system.scheduler.switches,
+            [core.stats.as_dict() for core in system.cores],
+        )
+
+    def test_late_worker_start_does_not_change_the_schedule(self, monkeypatch):
+        reference = self._contention_run(monkeypatch, None)
+        for late in range(4):
+            assert self._contention_run(monkeypatch, late) == reference, late
