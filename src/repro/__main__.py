@@ -6,7 +6,8 @@ Usage::
     python -m repro fig08                # regenerate Figure 8 (1,000 ops)
     python -m repro fig12 --ops 300      # quicker, smaller run
     python -m repro all --ops 200        # everything
-    python -m repro fuzz --budget 200 --seed 7   # crash-consistency fuzz
+    python -m repro fuzz single --seed 7         # crash campaign (or fault,
+                                                 # multicore, service, twopc)
     python -m repro fuzz --replay r.json         # replay a reproducer
     python -m repro serve --scheme SLPMT --batch-size 8  # txn service bench
     python -m repro obs stats --scheme SLPMT     # cycle attribution dump

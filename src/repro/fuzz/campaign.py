@@ -1,8 +1,13 @@
-"""The crash-consistency fuzzing campaign driver.
+"""Crash-campaign cells: single-core, multi-core contention and service.
 
-A campaign sweeps a grid of *cells* — (workload × scheme ×
-annotation-policy) — and for each cell crashes the same deterministic
-operation sequence at many points:
+A campaign sweeps a grid of *cells* and, for each cell, crashes the same
+deterministic execution at many points (the family table and driver
+live in :mod:`repro.fuzz.kernel`).  This module holds the cell and case
+functions of three families plus the judgement helpers every family
+shares.
+
+**Single-core** cells are (workload × scheme × annotation-policy)
+triples crashed at two kinds of point:
 
 * **durability-event points** (``crash_after_persists``): every WPQ
   insert is a potential crash point *inside* a commit sequence, exactly
@@ -28,6 +33,10 @@ recovery hook) and the durable image is checked three ways:
    scheme/policy combination that diverges from FG's durable semantics
    is caught even if its state is self-consistent.
 
+**Multi-core** cells crash N cores at scheduler turn switches;
+**service** cells crash a group-commit transaction service at
+durability events and instruction boundaries.
+
 Everything is seeded and Date-free: the same ``(budget, seed)`` always
 produces the identical campaign, which is what makes replay and
 shrinking byte-for-byte reproducible.
@@ -38,19 +47,13 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import DEFAULT_CONFIG, CacheConfig, SystemConfig
 from repro.common.errors import PowerFailure, RecoveryError, SimulationError
 from repro.core.machine import Machine
 from repro.core.schemes import scheme_by_name
-from repro.fuzz.invariants import (
-    InvariantViolation,
-    State,
-    Subject,
-    durable_state,
-    make_subject,
-)
+from repro.fuzz.invariants import State, Subject, durable_state, make_subject
 from repro.fuzz.oplog import OpLog
 from repro.recovery.crashsim import InstructionLimit
 from repro.recovery.engine import recover
@@ -120,7 +123,152 @@ STRESS_CONFIG: SystemConfig = dataclasses.replace(
 
 
 # ----------------------------------------------------------------------
-# cells and results
+# results and judgement helpers shared by every family
+# ----------------------------------------------------------------------
+
+
+@dataclass
+class Violation:
+    """One invariant failure, with everything needed to reproduce it.
+
+    *fault* carries the media-fault injection coordinates of fault
+    cases (``crash_kind`` is then ``"fault"``) and is None otherwise.
+    """
+
+    cell: Any
+    crash_kind: str
+    crash_point: int
+    check: str
+    message: str
+    fault: Optional[Dict] = None
+
+    def __str__(self) -> str:
+        where = f"@{self.crash_kind}:{self.crash_point}"
+        if self.fault is not None:
+            where = f"@{self.fault}"
+        return f"{self.cell} {where} [{self.check}] {self.message}"
+
+
+@dataclass
+class CaseResult:
+    """Outcome of one crash-inject-recover-check case."""
+
+    crashed: bool
+    committed_ops: int
+    tx_commits: int
+    violation: Optional[str] = None
+    check: str = ""
+
+
+#: A judgement: ``(violation message, check name)``, ``(None, "")`` if legal.
+Verdict = Tuple[Optional[str], str]
+
+
+def record(
+    report: Any,
+    cell: Any,
+    crash_kind: str,
+    crash_point: int,
+    result: CaseResult,
+    fault: Optional[Dict] = None,
+) -> None:
+    """Append *result*'s violation, if any, to the cell *report*."""
+    if result.violation is not None:
+        report.violations.append(
+            Violation(cell, crash_kind, crash_point, result.check,
+                      result.violation, fault)
+        )
+
+
+def read_durable(
+    subject: Subject, prefix: str = ""
+) -> Tuple[Optional[State], Optional[Tuple[str, str]]]:
+    """The durable-state prologue of every post-crash judgement.
+
+    Runs the workload's integrity check on the durable image, then reads
+    its canonical durable state.  Returns ``(state, None)``, or
+    ``(None, (message, check))`` when the image is structurally broken;
+    *prefix* labels the message (a shard id, say).
+    """
+    try:
+        if hasattr(subject, "check_integrity"):
+            subject.check_integrity(subject.reader(durable=True))
+        return durable_state(subject), None
+    except RecoveryError as exc:
+        return None, (f"{prefix}{exc}", "structure")
+    except SimulationError as exc:
+        # Traversal followed a corrupt pointer into unmapped PM.
+        return None, (f"{prefix}durable traversal failed: {exc}", "structure")
+
+
+def clean_verdict(verify: Callable[[], None]) -> Verdict:
+    """Judge a run that completed without crashing: *verify* must pass."""
+    try:
+        verify()
+    except RecoveryError as exc:
+        return str(exc), "structure"
+    return None, ""
+
+
+def batch_states(committed: Dict, inflight: Optional[Sequence]) -> List[State]:
+    """The acceptable durable states of a group-commit store: the acked
+    oracle, or the oracle plus the *whole* in-flight batch applied in
+    batch order (its commit marker may have become durable just before
+    the crash surfaced)."""
+    oracle = {k: tuple(v) for k, v in committed.items()}
+    states = [tuple(sorted(oracle.items()))]
+    if inflight:
+        after = dict(oracle)
+        for request in inflight:
+            for key, value in zip(request.keys, request.values):
+                after[key] = tuple(value)
+        states.append(tuple(sorted(after.items())))
+    return states
+
+
+def arm_crash(machine: Machine, crash_kind: str, crash_point: int) -> None:
+    """Arm a power failure at the *crash_point*-th post-setup durability
+    event (``"persist"``) or memory instruction (``"instr"``)."""
+    if crash_kind == "persist":
+        machine.schedule_crash_after_persists(crash_point)
+    elif crash_kind == "instr":
+        machine.checkpoint = InstructionLimit(crash_point)
+    else:
+        raise ValueError(f"unknown crash kind {crash_kind!r}")
+
+
+def plan_points(
+    rng: random.Random,
+    events: int,
+    instrs: int,
+    budget: int,
+    persist_budget: Optional[int] = None,
+    instr_budget: Optional[int] = None,
+) -> Tuple[List[int], List[int], bool]:
+    """Split a cell's case *budget* over crash points.
+
+    Three quarters go to durability-event points — exhaustively when
+    they fit, sampled otherwise — and the remainder to sampled
+    instruction-boundary points; *persist_budget* / *instr_budget*
+    override the split.  Returns ``(persist points, instruction points,
+    exhaustive)``.
+    """
+    if persist_budget is None:
+        persist_budget = max(1, (budget * 3) // 4)
+    if events <= persist_budget:
+        persist_points = list(range(events))
+        exhaustive = True
+    else:
+        persist_points = sorted(rng.sample(range(events), persist_budget))
+        exhaustive = False
+    if instr_budget is None:
+        instr_budget = max(0, budget - len(persist_points))
+    instr_points = sorted(rng.sample(range(instrs), min(instr_budget, instrs)))
+    return persist_points, instr_points, exhaustive
+
+
+# ----------------------------------------------------------------------
+# single-core cells
 # ----------------------------------------------------------------------
 
 
@@ -154,34 +302,6 @@ DEFAULT_CELLS: Tuple[FuzzCell, ...] = tuple(
 
 
 @dataclass
-class Violation:
-    """One invariant failure, with everything needed to reproduce it."""
-
-    cell: FuzzCell
-    crash_kind: str
-    crash_point: int
-    check: str
-    message: str
-
-    def __str__(self) -> str:
-        return (
-            f"{self.cell} @{self.crash_kind}:{self.crash_point} "
-            f"[{self.check}] {self.message}"
-        )
-
-
-@dataclass
-class CaseResult:
-    """Outcome of one crash-inject-recover-check case."""
-
-    crashed: bool
-    committed_ops: int
-    tx_commits: int
-    violation: Optional[str] = None
-    check: str = ""
-
-
-@dataclass
 class CellReport:
     """Coverage and outcome summary for one campaign cell."""
 
@@ -203,30 +323,6 @@ class CellReport:
     @property
     def cases_run(self) -> int:
         return self.persist_points_run + self.instr_points_run
-
-
-@dataclass
-class CampaignResult:
-    """A whole campaign: parameters plus every cell report."""
-
-    budget: int
-    seed: int
-    num_ops: int
-    value_bytes: int
-    cells: List[CellReport] = field(default_factory=list)
-
-    @property
-    def total_cases(self) -> int:
-        return sum(c.cases_run for c in self.cells)
-
-    @property
-    def violations(self) -> List[Violation]:
-        return [v for c in self.cells for v in c.violations]
-
-
-# ----------------------------------------------------------------------
-# deterministic op generation
-# ----------------------------------------------------------------------
 
 
 def generate_ops(workload: str, num_ops: int, seed: int) -> List[Op]:
@@ -289,9 +385,23 @@ def apply_op(subject: Subject, op: Op) -> None:
         raise ValueError(f"unknown fuzz op kind {kind!r}")
 
 
-# ----------------------------------------------------------------------
-# case execution
-# ----------------------------------------------------------------------
+def run_ops(rt: PTx, subject: Subject, ops: Sequence[Op]) -> Tuple[int, OpLog, bool]:
+    """Apply *ops* in order under a fresh op log.
+
+    Returns ``(committed ops, op log, crashed)``; a power failure stops
+    the sequence at the op it interrupted.
+    """
+    oplog = OpLog()
+    rt.op_log = oplog
+    committed = 0
+    try:
+        for i, op in enumerate(ops):
+            oplog.begin_op(i)
+            apply_op(subject, op)
+            committed += 1
+    except PowerFailure:
+        return committed, oplog, True
+    return committed, oplog, False
 
 
 def _build(
@@ -355,80 +465,30 @@ def run_case(
     machine, rt, subject = _build(
         workload, scheme, policy, value_bytes=value_bytes, config=config
     )
-    oplog = OpLog()
-    rt.op_log = oplog
-    if crash_kind == "persist":
-        machine.schedule_crash_after_persists(crash_point)
-    elif crash_kind == "instr":
-        machine.checkpoint = InstructionLimit(crash_point)
-    else:
-        raise ValueError(f"unknown crash kind {crash_kind!r}")
-
-    committed = 0
-    try:
-        for i, op in enumerate(ops):
-            oplog.begin_op(i)
-            apply_op(subject, op)
-            committed += 1
-    except PowerFailure:
-        machine.checkpoint = None
+    arm_crash(machine, crash_kind, crash_point)
+    committed, oplog, crashed = run_ops(rt, subject, ops)
+    machine.checkpoint = None
+    if crashed:
         machine.crash()
         recover(machine.pm, mode=machine.scheme.logging_mode, hooks=[subject])
-        violation, check = _check_recovered(subject, baseline, committed, len(ops))
-        return CaseResult(
-            crashed=True,
-            committed_ops=committed,
-            tx_commits=oplog.total_commits,
-            violation=violation,
-            check=check,
-        )
-
-    machine.cancel_scheduled_crash()
-    machine.checkpoint = None
-    violation = None
-    check = ""
-    try:
-        subject.verify()
-    except RecoveryError as exc:
-        violation, check = str(exc), "structure"
-    return CaseResult(
-        crashed=False,
-        committed_ops=committed,
-        tx_commits=oplog.total_commits,
-        violation=violation,
-        check=check,
-    )
+        violation, check = _check_recovered(subject, baseline, committed)
+    else:
+        machine.cancel_scheduled_crash()
+        violation, check = clean_verdict(subject.verify)
+    return CaseResult(crashed, committed, oplog.total_commits, violation, check)
 
 
 def _check_recovered(
-    subject: Subject,
-    baseline: List[State],
-    committed: int,
-    num_ops: int,
-) -> Tuple[Optional[str], str]:
-    """Structure + two-state atomicity/differential check.
-
-    Returns ``(violation message, check name)``; ``(None, "")`` when the
-    durable image is legal.
-    """
-    try:
-        if hasattr(subject, "check_integrity"):
-            subject.check_integrity(subject.reader(durable=True))
-        state = durable_state(subject)
-    except RecoveryError as exc:
-        return str(exc), "structure"
-    except SimulationError as exc:
-        # Traversal followed a corrupt pointer into unmapped PM.
-        return f"durable traversal failed: {exc}", "structure"
-    except InvariantViolation as exc:
-        return exc.message, exc.check
-
-    acceptable = [baseline[committed]]
-    if committed < num_ops:
-        # The in-flight op's commit marker may have become durable just
-        # before the crash reached the application: prefix+1 is legal.
-        acceptable.append(baseline[committed + 1])
-    if state in acceptable:
+    subject: Subject, baseline: List[State], committed: int
+) -> Verdict:
+    """Structure + two-state atomicity/differential check: the durable
+    image holds the *committed* prefix, or — the in-flight op's commit
+    marker having become durable just before the crash reached the
+    application — that prefix plus one."""
+    state, failure = read_durable(subject)
+    if failure is not None:
+        return failure
+    if state in baseline[committed:committed + 2]:
         return None, ""
     return _diagnose(state, baseline[committed])
 
@@ -461,11 +521,6 @@ def _diagnose(state: State, want: State) -> Tuple[str, str]:
     )
 
 
-# ----------------------------------------------------------------------
-# cell + campaign drivers
-# ----------------------------------------------------------------------
-
-
 def _cell_dry_run(
     cell: FuzzCell,
     ops: Sequence[Op],
@@ -480,15 +535,11 @@ def _cell_dry_run(
         cell.workload, cell.scheme, cell.policy,
         value_bytes=value_bytes, config=config,
     )
-    oplog = OpLog()
-    rt.op_log = oplog
     events0 = machine.wpq.total_inserts
     instrs0 = machine.stats.instructions
     cycles0 = machine.now
     pm_bytes0 = machine.stats.pm_bytes_written
-    for i, op in enumerate(ops):
-        oplog.begin_op(i)
-        apply_op(subject, op)
+    _committed, oplog, _crashed = run_ops(rt, subject, ops)
     return (
         machine.wpq.total_inserts - events0,
         machine.stats.instructions - instrs0,
@@ -511,14 +562,12 @@ def run_cell(
     persist_budget: Optional[int] = None,
     instr_budget: Optional[int] = None,
 ) -> CellReport:
-    """Run one cell's crash-point sweep under a per-cell case budget.
-
-    Three quarters of the budget goes to durability-event points —
-    exhaustively when they fit, sampled otherwise — and the remainder to
-    sampled instruction-boundary points; *persist_budget* /
-    *instr_budget* override the split (tests use this to force a purely
-    exhaustive durability-event sweep).
-    """
+    """Run one cell's crash-point sweep under a per-cell case budget
+    (split by :func:`plan_points`; *persist_budget* / *instr_budget*
+    override it — tests use this to force a purely exhaustive
+    durability-event sweep).  Every scheme of a workload crashes the
+    identical op sequence — that is what makes the differential check
+    meaningful."""
     if ops is None:
         ops = generate_ops(cell.workload, num_ops, seed)
     if baseline is None:
@@ -529,19 +578,9 @@ def run_cell(
         cell, ops, value_bytes=value_bytes, config=config
     )
     rng = random.Random(f"cell:{seed}:{cell.workload}:{cell.scheme}:{cell.policy}")
-
-    if persist_budget is None:
-        persist_budget = max(1, (budget * 3) // 4)
-    if events <= persist_budget:
-        persist_points = list(range(events))
-        exhaustive = True
-    else:
-        persist_points = sorted(rng.sample(range(events), persist_budget))
-        exhaustive = False
-    if instr_budget is None:
-        instr_budget = max(0, budget - len(persist_points))
-    instr_points = sorted(rng.sample(range(instrs), min(instr_budget, instrs)))
-
+    persist_points, instr_points, exhaustive = plan_points(
+        rng, events, instrs, budget, persist_budget, instr_budget
+    )
     report = CellReport(
         cell=cell,
         num_ops=len(ops),
@@ -560,83 +599,12 @@ def run_cell(
                 cell.workload, cell.scheme, cell.policy, ops, kind, point,
                 value_bytes=value_bytes, config=config, baseline=baseline,
             )
-            if result.violation is not None:
-                report.violations.append(
-                    Violation(
-                        cell=cell,
-                        crash_kind=kind,
-                        crash_point=point,
-                        check=result.check,
-                        message=result.violation,
-                    )
-                )
+            record(report, cell, kind, point, result)
     return report
 
 
-def run_campaign(
-    budget: int = 200,
-    seed: int = 7,
-    *,
-    cells: Sequence[FuzzCell] = DEFAULT_CELLS,
-    num_ops: int = 10,
-    value_bytes: int = 32,
-    config: SystemConfig = STRESS_CONFIG,
-    jobs: int = 1,
-    progress=None,
-) -> CampaignResult:
-    """Run the full campaign grid.
-
-    *budget* is the per-cell case budget.  Ops and FG baselines are
-    computed once per workload and shared by every cell of that
-    workload, so all schemes crash the identical op sequence — that is
-    what makes the differential column meaningful.
-
-    *jobs* > 1 fans the cells out over worker processes through the
-    parallel engine; each cell's RNG is derived from the cell identity
-    alone, and the ordered merge keeps the report byte-identical to a
-    serial campaign.
-    """
-    from repro.parallel import engine
-    from repro.parallel.tasks import fuzz_cell
-
-    result = CampaignResult(
-        budget=budget, seed=seed, num_ops=num_ops, value_bytes=value_bytes
-    )
-    ops_cache: Dict[str, List[Op]] = {}
-    baseline_cache: Dict[str, List[State]] = {}
-    for cell in cells:
-        if cell.workload not in ops_cache:
-            ops_cache[cell.workload] = generate_ops(cell.workload, num_ops, seed)
-            baseline_cache[cell.workload] = baseline_states(
-                cell.workload,
-                ops_cache[cell.workload],
-                value_bytes=value_bytes,
-                config=config,
-            )
-    descriptors = [
-        {
-            "cell": cell,
-            "budget": budget,
-            "seed": seed,
-            "ops": ops_cache[cell.workload],
-            "value_bytes": value_bytes,
-            "config": config,
-            "baseline": baseline_cache[cell.workload],
-        }
-        for cell in cells
-    ]
-    result.cells = engine.run_tasks(
-        fuzz_cell,
-        descriptors,
-        jobs=jobs,
-        labels=[str(cell) for cell in cells],
-        progress=progress,
-    )
-    return result
-
-
 # ----------------------------------------------------------------------
-# multi-core contention campaign
+# multi-core contention cells
 # ----------------------------------------------------------------------
 
 
@@ -692,26 +660,6 @@ class MultiCoreCellReport:
         return self.switch_points_run
 
 
-@dataclass
-class MultiCoreCampaignResult:
-    """A whole contention campaign: parameters plus cell reports."""
-
-    budget: int
-    seed: int
-    ops_per_core: int
-    num_keys: int
-    value_bytes: int
-    cells: List[MultiCoreCellReport] = field(default_factory=list)
-
-    @property
-    def total_cases(self) -> int:
-        return sum(c.cases_run for c in self.cells)
-
-    @property
-    def violations(self) -> List[Violation]:
-        return [v for c in self.cells for v in c.violations]
-
-
 def _build_contention(
     cell: MultiCoreCell,
     *,
@@ -742,10 +690,7 @@ def _build_contention(
     return system, subject, streams
 
 
-def _check_multicore_recovered(
-    subject: Subject,
-    in_flight: "List",
-) -> Tuple[Optional[str], str]:
+def _check_multicore_recovered(subject: Subject, in_flight: "List") -> Verdict:
     """Post-crash acceptance check for an N-core contention run.
 
     With N cores there can be up to N transactions in flight at the
@@ -766,16 +711,9 @@ def _check_multicore_recovered(
     worker's scheduler turn, after ``run_atomically`` returns — commit
     order and oracle order coincide by construction.
     """
-    try:
-        if hasattr(subject, "check_integrity"):
-            subject.check_integrity(subject.reader(durable=True))
-        state = durable_state(subject)
-    except RecoveryError as exc:
-        return str(exc), "structure"
-    except SimulationError as exc:
-        return f"durable traversal failed: {exc}", "structure"
-    except InvariantViolation as exc:
-        return exc.message, exc.check
+    state, failure = read_durable(subject)
+    if failure is not None:
+        return failure
 
     committed = {k: tuple(v) for k, v in subject.expected.items()}
     pending: Dict[int, set] = {}
@@ -851,17 +789,9 @@ def run_multicore_case(
         # happen for caller-chosen points): a clean completion, judged
         # like one.
         system.fence_all()
-        violation, check = None, ""
-        try:
-            subject.verify(durable=True)
-        except RecoveryError as exc:
-            violation, check = str(exc), "structure"
+        violation, check = clean_verdict(lambda: subject.verify(durable=True))
     return CaseResult(
-        crashed=crashed,
-        committed_ops=len(subject.expected),
-        tx_commits=system.total_commits(),
-        violation=violation,
-        check=check,
+        crashed, len(subject.expected), system.total_commits(), violation, check
     )
 
 
@@ -934,71 +864,12 @@ def run_multicore_cell(
             seed=seed,
             config=config,
         )
-        if result.violation is not None:
-            report.violations.append(
-                Violation(
-                    cell=cell,
-                    crash_kind="switch",
-                    crash_point=point,
-                    check=result.check,
-                    message=result.violation,
-                )
-            )
+        record(report, cell, "switch", point, result)
     return report
 
 
-def run_multicore_campaign(
-    budget: int = 60,
-    seed: int = 7,
-    *,
-    cells: Sequence[MultiCoreCell] = DEFAULT_MULTICORE_CELLS,
-    ops_per_core: int = 12,
-    num_keys: int = 16,
-    value_bytes: int = 32,
-    config: SystemConfig = STRESS_CONFIG,
-    jobs: int = 1,
-    progress=None,
-) -> MultiCoreCampaignResult:
-    """Run the contention campaign grid.
-
-    *budget* is the per-cell crash-point budget.  Cells are keyed by
-    ``(workload, scheme, cores, θ, seed)`` alone — each worker process
-    rebuilds its whole scenario from those scalars, and the ordered
-    merge keeps the campaign byte-identical to a serial run.
-    """
-    from repro.parallel import engine
-    from repro.parallel.tasks import multicore_fuzz_cell
-
-    result = MultiCoreCampaignResult(
-        budget=budget,
-        seed=seed,
-        ops_per_core=ops_per_core,
-        num_keys=num_keys,
-        value_bytes=value_bytes,
-    )
-    descriptors = [
-        {
-            "cell": cell,
-            "budget": budget,
-            "seed": seed,
-            "ops_per_core": ops_per_core,
-            "num_keys": num_keys,
-            "value_bytes": value_bytes,
-            "config": config,
-        }
-        for cell in cells
-    ]
-    result.cells = engine.run_tasks(
-        multicore_fuzz_cell,
-        descriptors,
-        jobs=jobs,
-        labels=[str(cell) for cell in cells],
-        progress=progress,
-    )
-    return result
-
 # ----------------------------------------------------------------------
-# transaction-service campaign (group-commit durability)
+# transaction-service cells (group-commit durability)
 # ----------------------------------------------------------------------
 
 
@@ -1009,9 +880,8 @@ class ServiceCell:
     ``locking`` routes write batches through the wound-wait lock
     manager with round-robin batch fill — the multi-structure
     configuration the composite workloads exercise.  The trailing
-    defaults keep :class:`~repro.fuzz.minimize.Reproducer` replay
-    (which rebuilds ``ServiceCell(workload, scheme, batch_size)``)
-    working unchanged.
+    default keeps ``ServiceCell(workload, scheme, batch_size)`` (and
+    older reproducer files without the flag) working unchanged.
     """
 
     workload: str
@@ -1084,26 +954,6 @@ class ServiceCellReport:
         return self.persist_points_run + self.instr_points_run
 
 
-@dataclass
-class ServiceCampaignResult:
-    """A whole service campaign: parameters plus cell reports."""
-
-    budget: int
-    seed: int
-    num_clients: int
-    requests_per_client: int
-    value_bytes: int
-    cells: List[ServiceCellReport] = field(default_factory=list)
-
-    @property
-    def total_cases(self) -> int:
-        return sum(c.cases_run for c in self.cells)
-
-    @property
-    def violations(self) -> List[Violation]:
-        return [v for c in self.cells for v in c.violations]
-
-
 def _build_service(
     cell: ServiceCell,
     *,
@@ -1155,7 +1005,7 @@ def _build_service(
     )
 
 
-def _check_service_recovered(svc) -> Tuple[Optional[str], str]:
+def _check_service_recovered(svc) -> Verdict:
     """Post-crash acceptance check for a transaction-service run.
 
     The service's durability contract is judged against its *committed
@@ -1166,32 +1016,16 @@ def _check_service_recovered(svc) -> Tuple[Optional[str], str]:
     * **ack ⇒ durable** — the durable logical state contains every
       acknowledged write's exact effect (the oracle state);
     * **atomicity** — the only other legal image is the oracle plus the
-      *entire* in-flight batch applied in batch order: its commit marker
-      may have become durable immediately before the crash surfaced.
-      A partial batch — some requests' effects durable, others' not —
-      is a violation, as is any unacknowledged effect outside the
-      in-flight batch.
+      *entire* in-flight batch applied in batch order (see
+      :func:`batch_states`).  A partial batch — some requests' effects
+      durable, others' not — is a violation, as is any unacknowledged
+      effect outside the in-flight batch.
     """
     subject = svc.subject
-    try:
-        if hasattr(subject, "check_integrity"):
-            subject.check_integrity(subject.reader(durable=True))
-        state = durable_state(subject)
-    except RecoveryError as exc:
-        return str(exc), "structure"
-    except SimulationError as exc:
-        return f"durable traversal failed: {exc}", "structure"
-    except InvariantViolation as exc:
-        return exc.message, exc.check
-
-    committed = {k: tuple(v) for k, v in svc.rm.committed.items()}
-    acceptable = [tuple(sorted(committed.items()))]
-    if svc.inflight:
-        after = dict(committed)
-        for request in svc.inflight:
-            for key, value in zip(request.keys, request.values):
-                after[key] = tuple(value)
-        acceptable.append(tuple(sorted(after.items())))
+    state, failure = read_durable(subject)
+    if failure is not None:
+        return failure
+    acceptable = batch_states(svc.rm.committed, svc.inflight)
     if state not in acceptable:
         return _diagnose(state, acceptable[0])
 
@@ -1257,47 +1091,32 @@ def run_service_case(
         duration_cycles=duration_cycles,
     )
     machine = svc.machine
-    if crash_kind == "persist":
-        machine.schedule_crash_after_persists(crash_point)
-    elif crash_kind == "instr":
-        machine.checkpoint = InstructionLimit(crash_point)
-    else:
-        raise ValueError(f"unknown crash kind {crash_kind!r}")
-
+    arm_crash(machine, crash_kind, crash_point)
     try:
         svc.serve()
+        crashed = False
     except PowerFailure:
-        machine.checkpoint = None
+        crashed = True
+    machine.checkpoint = None
+    if crashed:
         machine.crash()
         recover(
             machine.pm, mode=machine.scheme.logging_mode, hooks=[svc.subject]
         )
         violation, check = _check_service_recovered(svc)
-        return CaseResult(
-            crashed=True,
-            committed_ops=len(svc.rm.committed),
-            tx_commits=svc.tm.commits,
-            violation=violation,
-            check=check,
-        )
+    else:
+        # The armed point lay beyond this run's count (caller-chosen
+        # points only): finish cleanly and judge like a clean run.
+        machine.cancel_scheduled_crash()
 
-    # The armed point lay beyond this run's count (caller-chosen points
-    # only): finish cleanly and judge like a clean run.
-    machine.cancel_scheduled_crash()
-    machine.checkpoint = None
-    violation, check = None, ""
-    try:
-        svc.finish()
-        svc.rm.sync_expected()
-        svc.subject.verify(durable=True)
-    except RecoveryError as exc:
-        violation, check = str(exc), "structure"
+        def finish() -> None:
+            svc.finish()
+            svc.rm.sync_expected()
+            svc.subject.verify(durable=True)
+
+        violation, check = clean_verdict(finish)
     return CaseResult(
-        crashed=False,
-        committed_ops=len(svc.rm.committed),
-        tx_commits=svc.tm.commits,
-        violation=violation,
-        check=check,
+        crashed, len(svc.rm.committed), svc.tm.commits, violation, check
     )
 
 
@@ -1316,10 +1135,8 @@ def run_service_cell(
 
     A clean dry run of the identical service measures its post-setup
     durability-event and instruction counts; the sweep then crashes a
-    fresh, identically seeded service at each point — exhaustively over
-    durability events when they fit three quarters of *budget*, sampled
-    otherwise, with the remainder spent on sampled instruction
-    boundaries.  Everything derives from ``(cell, seed)``.
+    fresh, identically seeded service at each point planned by
+    :func:`plan_points`.  Everything derives from ``(cell, seed)``.
 
     The clean run also carries a windowed telemetry registry (passive,
     so the crash points it derives are unaffected); its steady-state
@@ -1355,16 +1172,9 @@ def run_service_cell(
     svc.subject.verify(durable=True)
 
     rng = random.Random(f"svc-cell:{seed}:{cell}")
-    persist_budget = max(1, (budget * 3) // 4)
-    if events <= persist_budget:
-        persist_points = list(range(events))
-        exhaustive = True
-    else:
-        persist_points = sorted(rng.sample(range(events), persist_budget))
-        exhaustive = False
-    instr_budget = max(0, budget - len(persist_points))
-    instr_points = sorted(rng.sample(range(instrs), min(instr_budget, instrs)))
-
+    persist_points, instr_points, exhaustive = plan_points(
+        rng, events, instrs, budget
+    )
     telemetry = fine.rebinned(max(1, fine.num_windows // 8))
     steady = steady_summary(telemetry)
     report = ServiceCellReport(
@@ -1398,67 +1208,5 @@ def run_service_cell(
                 config=config,
                 duration_cycles=duration_cycles,
             )
-            if result.violation is not None:
-                report.violations.append(
-                    Violation(
-                        cell=cell,
-                        crash_kind=kind,
-                        crash_point=point,
-                        check=result.check,
-                        message=result.violation,
-                    )
-                )
+            record(report, cell, kind, point, result)
     return report
-
-
-def run_service_campaign(
-    budget: int = 150,
-    seed: int = 7,
-    *,
-    cells: Sequence[ServiceCell] = DEFAULT_SERVICE_CELLS,
-    num_clients: int = 5,
-    requests_per_client: int = 16,
-    value_bytes: int = 32,
-    config: SystemConfig = STRESS_CONFIG,
-    duration_cycles: Optional[int] = None,
-    jobs: int = 1,
-    progress=None,
-) -> ServiceCampaignResult:
-    """Run the transaction-service campaign grid.
-
-    *budget* is the per-cell case budget.  Cells are keyed by
-    ``(cell, seed)`` alone — each worker process rebuilds the whole
-    service from those scalars, and the ordered merge keeps the report
-    byte-identical to a serial campaign.
-    """
-    from repro.parallel import engine
-    from repro.parallel.tasks import service_fuzz_cell
-
-    result = ServiceCampaignResult(
-        budget=budget,
-        seed=seed,
-        num_clients=num_clients,
-        requests_per_client=requests_per_client,
-        value_bytes=value_bytes,
-    )
-    descriptors = [
-        {
-            "cell": cell,
-            "budget": budget,
-            "seed": seed,
-            "num_clients": num_clients,
-            "requests_per_client": requests_per_client,
-            "value_bytes": value_bytes,
-            "config": config,
-            "duration_cycles": duration_cycles,
-        }
-        for cell in cells
-    ]
-    result.cells = engine.run_tasks(
-        service_fuzz_cell,
-        descriptors,
-        jobs=jobs,
-        labels=[str(cell) for cell in cells],
-        progress=progress,
-    )
-    return result

@@ -1,31 +1,26 @@
-"""``python -m repro fuzz`` — the campaign CLI.
+"""``python -m repro fuzz`` — the crash-campaign CLI.
 
 Usage::
 
-    python -m repro fuzz --budget 200 --seed 7     # full campaign
+    python -m repro fuzz [single] --budget 200 --seed 7   # single-core
     python -m repro fuzz --workloads hashtable,dlist --schemes SLPMT
     python -m repro fuzz --replay repro.json       # re-run a reproducer
     python -m repro fuzz --hazard-demo             # catch the §IV-A bug
-    python -m repro fuzz --faults                  # media-fault campaign
-    python -m repro fuzz --faults --fault-kinds torn-tail
-    python -m repro fuzz --multicore               # contention campaign
-    python -m repro fuzz --multicore --cores 2,4 --thetas 0,0.9
-    python -m repro fuzz --service                 # txn-service campaign
-    python -m repro fuzz --service --batches 1,8 --schemes SLPMT
-    python -m repro fuzz --twopc                   # cross-shard 2PC campaign
-    python -m repro fuzz --twopc --shards 2,3 --schemes SLPMT
+    python -m repro fuzz fault                     # media-fault campaign
+    python -m repro fuzz fault --fault-kinds torn-tail
+    python -m repro fuzz multicore --cores 2,4 --thetas 0,0.9
+    python -m repro fuzz service --batches 1,8 --schemes SLPMT
+    python -m repro fuzz twopc --shards 2,3 --schemes SLPMT
 
-A campaign writes its table to ``benchmarks/results/fuzz_campaign.txt``
-(override with ``--out``) and exits non-zero when any invariant
-violation was found.  Every violation is shrunk to a minimal reproducer
-and saved as ``fuzz_repro_<n>.json`` next to the report.
-
-``--faults`` runs the media-fault injection campaign instead (torn log
-tails, log bit flips, dropped WPQ drains; see
-:mod:`repro.fuzz.faultcampaign`), writing its table to
-``benchmarks/results/fault_campaign.txt`` and fault reproducers as
-``fault_repro_<n>.json``.  The torn-tail cells enumerate every
-word-boundary cut of every op-phase log append exhaustively.
+The positional argument picks the campaign family (default
+``single``; see :data:`repro.fuzz.kernel.FAMILIES`).  A campaign writes
+its table to ``benchmarks/results/<family report>`` (override with
+``--out``) and exits 1 when any invariant violation was found; every
+violation of a family with reproducer hooks is shrunk to a minimal
+reproducer saved as ``<prefix>_repro_<n>.json`` next to the report.
+Bad input — an option that does not apply to the family, a workload it
+cannot build, an unknown scheme — exits 2 with one line, before any
+cell runs.
 """
 
 from __future__ import annotations
@@ -33,105 +28,122 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List
+from typing import Any, Dict, List, Optional
 
-from repro.fuzz.campaign import (
-    DEFAULT_CELLS,
-    POLICIES,
-    SUBJECTS,
-    FuzzCell,
-    run_campaign,
-)
+from repro.common.errors import ReproError
+from repro.fuzz.campaign import FuzzCell
+from repro.fuzz.kernel import FAMILIES, Family, format_report, run_campaign
 from repro.fuzz.minimize import Reproducer, minimize, replay
-from repro.fuzz.report import format_report
 from repro.parallel.engine import WorkerCrash, resolve_jobs
+
+RESULTS_DIR = os.path.join("benchmarks", "results")
+
+
+class UsageError(Exception):
+    """Fuzz CLI input that names no runnable campaign."""
 
 
 def _progress(done: int, total: int, label: str) -> None:
     print(f"[{done}/{total}] {label}", file=sys.stderr)
 
-DEFAULT_OUT = os.path.join("benchmarks", "results", "fuzz_campaign.txt")
-DEFAULT_FAULT_OUT = os.path.join("benchmarks", "results", "fault_campaign.txt")
-DEFAULT_MULTICORE_OUT = os.path.join(
-    "benchmarks", "results", "multicore_campaign.txt"
-)
-DEFAULT_SERVICE_OUT = os.path.join(
-    "benchmarks", "results", "service_campaign.txt"
-)
-DEFAULT_TWOPC_OUT = os.path.join(
-    "benchmarks", "results", "twopc_campaign.txt"
-)
+
+def _csv(kind, low: float):
+    """Comma-separated values of *kind*, each at least *low*."""
+
+    def parse(text: str, flag: str) -> List[Any]:
+        try:
+            values = [kind(v.strip()) for v in text.split(",") if v.strip()]
+        except ValueError as exc:
+            raise UsageError(f"bad {flag} value: {exc}")
+        if not values or any(v < low for v in values):
+            raise UsageError(f"{flag} needs values of at least {low:g}")
+        return values
+
+    return parse
+
+
+def _fault_kinds(text: str, flag: str) -> List[str]:
+    from repro.faults import FAULT_KINDS
+
+    kinds = [k.strip() for k in text.split(",")]
+    unknown = set(kinds) - set(FAULT_KINDS)
+    if unknown:
+        raise UsageError(f"unknown fault kind(s): {sorted(unknown)}")
+    return kinds
+
+
+#: Parsers of the family-specific grid axes, by argparse dest.
+_GRID_AXES = {
+    "fault_kinds": _fault_kinds,
+    "cores": _csv(int, 1),
+    "thetas": _csv(float, 0),
+    "batches": _csv(int, 1),
+    "shards": _csv(int, 2),
+}
+
+#: Every family-specific option, by argparse dest.
+_FAMILY_OPTIONS = ("ops", "num_keys", "duration", *_GRID_AXES)
 
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro fuzz",
-        description="Deterministic crash-consistency fuzzing campaign.",
+        description="Deterministic crash-consistency fuzzing campaigns.",
     )
+    parser.add_argument("family", nargs="?", default="single",
+                        choices=sorted(FAMILIES),
+                        help="campaign family (default single)")
     parser.add_argument("--budget", type=int, default=None,
-                        help="crash cases per cell (default 200; 24 for "
-                             "the sampled cells of --faults)")
+                        help="crash cases per cell (default per family: "
+                             + ", ".join(f"{f.name} {f.budget}"
+                                         for f in FAMILIES.values()) + ")")
     parser.add_argument("--seed", type=int, default=7,
                         help="campaign RNG seed (default 7)")
-    parser.add_argument("--ops", type=int, default=10,
-                        help="operations per cell (default 10)")
     parser.add_argument("--value-bytes", type=int, default=32,
                         help="value payload size (default 32)")
     parser.add_argument("--workloads", type=str, default=None,
                         help="comma-separated subject filter")
     parser.add_argument("--schemes", type=str, default=None,
                         help="comma-separated scheme filter")
-    parser.add_argument("--out", type=str, default=DEFAULT_OUT,
-                        help=f"report path (default {DEFAULT_OUT})")
-    parser.add_argument("--replay", type=str, default=None, metavar="FILE",
-                        help="re-run a JSON reproducer instead of a campaign")
-    parser.add_argument("--hazard-demo", action="store_true",
-                        help="run the deliberately mis-annotated tombstone "
-                             "cell (Section IV-A) and shrink its violation")
-    parser.add_argument("--faults", action="store_true",
-                        help="run the media-fault injection campaign "
-                             "(torn tails, bit flips, dropped drains)")
-    parser.add_argument("--fault-kinds", type=str, default=None,
-                        help="comma-separated fault-kind filter for "
-                             "--faults (torn-tail,bit-flip,drop-drains)")
-    parser.add_argument("--multicore", action="store_true",
-                        help="run the multi-core contention crash campaign "
-                             "(shared-key zipfian streams, crash at sampled "
-                             "turn-switch points)")
-    parser.add_argument("--service", action="store_true",
-                        help="run the transaction-service group-commit "
-                             "crash campaign (ack => durable at every "
-                             "persist point)")
-    parser.add_argument("--twopc", action="store_true",
-                        help="run the cross-shard 2PC crash campaign "
-                             "(coordinator/participant crashes at every "
-                             "protocol step, torn/bit-flipped decision "
-                             "records; global atomicity at every case)")
-    parser.add_argument("--shards", type=str, default="2,3",
-                        help="comma-separated shard counts for --twopc "
-                             "(default 2,3)")
-    parser.add_argument("--batches", type=str, default="1,8",
-                        help="comma-separated group-commit batch sizes for "
-                             "--service (default 1,8)")
-    parser.add_argument("--duration", type=int, default=None,
-                        metavar="CYCLES",
-                        help="run each --service cell in duration mode: "
-                             "clients submit until the simulated clock "
-                             "passes CYCLES instead of a fixed request "
-                             "count")
-    parser.add_argument("--cores", type=str, default="1,2,4",
-                        help="comma-separated core counts for --multicore "
-                             "(default 1,2,4)")
-    parser.add_argument("--thetas", type=str, default="0,0.9",
-                        help="comma-separated zipfian skews for --multicore "
-                             "(default 0,0.9)")
-    parser.add_argument("--num-keys", type=int, default=16,
-                        help="shared key-population size for --multicore "
-                             "(default 16)")
+    parser.add_argument("--out", type=str, default=None,
+                        help="report path (default benchmarks/results/"
+                             "<family>_campaign.txt)")
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes for the cell sweep "
                              "(default REPRO_JOBS or 1); the report is "
                              "byte-identical to a serial campaign")
+    parser.add_argument("--replay", type=str, default=None, metavar="FILE",
+                        help="re-run a JSON reproducer instead of a campaign")
+    parser.add_argument("--hazard-demo", action="store_true",
+                        help="single: run the deliberately mis-annotated "
+                             "tombstone cell (Section IV-A) and shrink its "
+                             "violation")
+    parser.add_argument("--ops", type=int, default=None,
+                        help="single/fault: operations per cell (default "
+                             "10); multicore: operations per core (default 10)")
+    parser.add_argument("--fault-kinds", type=str, default=None,
+                        help="fault: comma-separated fault kinds "
+                             "(torn-tail,bit-flip,drop-drains)")
+    parser.add_argument("--cores", type=str, default=None,
+                        help="multicore: comma-separated core counts "
+                             "(default 1,2,4)")
+    parser.add_argument("--thetas", type=str, default=None,
+                        help="multicore: comma-separated zipfian skews "
+                             "(default 0,0.9)")
+    parser.add_argument("--num-keys", type=int, default=None,
+                        help="multicore: shared key-population size "
+                             "(default 16)")
+    parser.add_argument("--batches", type=str, default=None,
+                        help="service: comma-separated group-commit batch "
+                             "sizes (default 1,8)")
+    parser.add_argument("--duration", type=int, default=None,
+                        metavar="CYCLES",
+                        help="service: clients submit until the simulated "
+                             "clock passes CYCLES instead of a fixed "
+                             "request count")
+    parser.add_argument("--shards", type=str, default=None,
+                        help="twopc: comma-separated shard counts, each at "
+                             "least 2 (default 2,3)")
     return parser
 
 
@@ -140,9 +152,9 @@ def _replay_main(path: str) -> int:
         with open(path, "r", encoding="utf-8") as fh:
             rep = Reproducer.from_json(fh.read())
     except OSError as exc:
-        raise SystemExit(f"cannot read reproducer: {exc}")
+        raise UsageError(f"cannot read reproducer: {exc}")
     except (ValueError, TypeError, KeyError) as exc:
-        raise SystemExit(f"{path} is not a valid reproducer file: {exc}")
+        raise UsageError(f"{path} is not a valid reproducer file: {exc}")
     result = replay(rep)
     print(f"replaying {path}: {rep.workload}/{rep.scheme}/{rep.policy} "
           f"@{rep.crash_kind}:{rep.crash_point} ({len(rep.ops)} ops)")
@@ -158,401 +170,127 @@ def _replay_main(path: str) -> int:
     return 0
 
 
-def _hazard_demo(args: argparse.Namespace) -> int:
-    cells = [FuzzCell("hashtable", "SLPMT", "manual-buggy-tombstone")]
-    budget = args.budget if args.budget is not None else 200
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _names(text: Optional[str]) -> Optional[List[str]]:
+    return None if text is None else [n.strip() for n in text.split(",")]
+
+
+def _select(family: Family, args: argparse.Namespace):
+    """Validate the command line against *family*: returns ``(cells,
+    params)`` or raises :class:`UsageError` naming the bad input."""
+    from repro.core.schemes import scheme_by_name
+
+    own = set(family.axes) | set(family.axis_params)
+    for dest in _FAMILY_OPTIONS:
+        if getattr(args, dest) is not None and dest not in own:
+            raise UsageError(
+                f"{_flag(dest)} does not apply to the {family.name} family"
+            )
+    if args.hazard_demo and family.name != "single":
+        raise UsageError(f"--hazard-demo does not apply to the {family.name} family")
+    workloads = _names(args.workloads)
+    unknown = sorted(set(workloads or ()) - set(family.subjects))
+    if unknown:
+        raise UsageError(
+            f"the {family.name} family cannot build workload(s) {unknown}"
+        )
+    schemes = _names(args.schemes)
+    for scheme in schemes or ():
+        try:
+            scheme_by_name(scheme)
+        except ReproError:
+            raise UsageError(f"unknown scheme {scheme!r}")
+    axes = {
+        dest: default if getattr(args, dest) is None
+        else _GRID_AXES[dest](getattr(args, dest), _flag(dest))
+        for dest, default in family.axes.items()
+    }
+    params: Dict[str, Any] = {"value_bytes": args.value_bytes}
+    for dest, param in family.axis_params.items():
+        if getattr(args, dest) is not None:
+            params[param] = getattr(args, dest)
+    cells = family.grid(workloads, schemes, axes)
+    if not cells:
+        raise UsageError("no cells selected")
+    return cells, params
+
+
+def _write(path: str, text: str) -> None:
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _hazard_demo(
+    args: argparse.Namespace, params: Dict[str, Any], out_dir: str
+) -> int:
     result = run_campaign(
-        budget=budget, seed=args.seed, cells=cells, num_ops=args.ops,
-        value_bytes=args.value_bytes,
+        "single", [FuzzCell("hashtable", "SLPMT", "manual-buggy-tombstone")],
+        budget=args.budget, seed=args.seed, **params,
     )
     print(format_report(result))
     if not result.violations:
         print("hazard NOT caught — the campaign should have found the "
               "mis-annotated tombstone")
         return 1
-    first = result.violations[0]
-    from repro.fuzz.campaign import generate_ops
-
-    ops = generate_ops("hashtable", args.ops, args.seed)
-    rep = minimize(
-        Reproducer.from_violation(first, ops, value_bytes=args.value_bytes)
-    )
-    out_dir = os.path.dirname(args.out) or "."
-    os.makedirs(out_dir, exist_ok=True)
+    rep = minimize(Reproducer.from_violation(
+        "single", result.violations[0], seed=args.seed, **result.params
+    ))
     rep_path = os.path.join(out_dir, "fuzz_repro_hazard.json")
-    with open(rep_path, "w", encoding="utf-8") as fh:
-        fh.write(rep.to_json())
+    _write(rep_path, rep.to_json())
     print(f"hazard caught: [{rep.check}] {rep.violation}")
     print(f"minimal reproducer ({len(rep.ops)} ops, "
           f"{rep.crash_kind} point {rep.crash_point}) -> {rep_path}")
-    replayed = replay(rep)
-    if replayed.violation == rep.violation:
+    if replay(rep).violation == rep.violation:
         print("reproducer replays to the identical violation")
         return 0
     print("REPLAY MISMATCH")
     return 1
 
 
-def _faults_main(args: argparse.Namespace) -> int:
-    from repro.faults import FAULT_KINDS
-    from repro.fuzz.campaign import generate_ops
-    from repro.fuzz.faultcampaign import (
-        DEFAULT_FAULT_SCHEMES,
-        default_fault_cells,
-        format_fault_report,
-        run_fault_campaign,
-    )
-
-    subjects = list(SUBJECTS)
-    if args.workloads:
-        wanted = {w.strip() for w in args.workloads.split(",")}
-        unknown = wanted - set(SUBJECTS)
-        if unknown:
-            raise SystemExit(f"unknown workload(s): {sorted(unknown)}")
-        subjects = [s for s in subjects if s in wanted]
-    schemes = list(DEFAULT_FAULT_SCHEMES)
-    if args.schemes:
-        schemes = [s.strip() for s in args.schemes.split(",")]
-    kinds = list(FAULT_KINDS)
-    if args.fault_kinds:
-        kinds = [k.strip() for k in args.fault_kinds.split(",")]
-        unknown = set(kinds) - set(FAULT_KINDS)
-        if unknown:
-            raise SystemExit(f"unknown fault kind(s): {sorted(unknown)}")
-    cells = default_fault_cells(subjects=subjects, schemes=schemes, kinds=kinds)
-    if not cells:
-        raise SystemExit("no fault cells selected")
-
-    budget = args.budget if args.budget is not None else 24
-    out = args.out if args.out != DEFAULT_OUT else DEFAULT_FAULT_OUT
+def _campaign_main(args: argparse.Namespace) -> int:
+    family = FAMILIES[args.family]
+    cells, params = _select(family, args)
+    out = args.out or os.path.join(RESULTS_DIR, family.out)
+    out_dir = os.path.dirname(out) or "."
+    if args.hazard_demo:
+        return _hazard_demo(args, params, out_dir)
     jobs = resolve_jobs(args.jobs)
     try:
-        result = run_fault_campaign(
-            budget=budget, seed=args.seed, cells=cells, num_ops=args.ops,
-            value_bytes=args.value_bytes, jobs=jobs,
-            progress=_progress if jobs > 1 else None,
+        result = run_campaign(
+            family.name, cells, budget=args.budget, seed=args.seed,
+            jobs=jobs, progress=_progress if jobs > 1 else None, **params,
         )
     except WorkerCrash as exc:
-        print(f"fault campaign failed: {exc}", file=sys.stderr)
+        print(f"{family.name} campaign failed: {exc}", file=sys.stderr)
         return 2
-    text = format_fault_report(result)
+    text = format_report(result)
     print(text, end="")
-
-    out_dir = os.path.dirname(out) or "."
-    os.makedirs(out_dir, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write(out, text)
     print(f"[report written to {out}]")
-
-    if result.violations:
+    if not result.violations:
+        return 0
+    if family.freeze is not None:
+        prefix = family.out.replace("campaign.txt", "repro")
         for n, violation in enumerate(result.violations):
-            ops = generate_ops(violation.cell.workload, args.ops, args.seed)
-            rep = minimize(
-                Reproducer.from_fault_violation(
-                    violation, ops, value_bytes=args.value_bytes
-                )
-            )
-            rep_path = os.path.join(out_dir, f"fault_repro_{n}.json")
-            with open(rep_path, "w", encoding="utf-8") as fh:
-                fh.write(rep.to_json())
+            rep = minimize(Reproducer.from_violation(
+                family.name, violation, seed=args.seed, **result.params
+            ))
+            rep_path = os.path.join(out_dir, f"{prefix}_{n}.json")
+            _write(rep_path, rep.to_json())
             print(f"[reproducer -> {rep_path}]")
-        return 1
-    return 0
-
-
-def _multicore_main(args: argparse.Namespace) -> int:
-    from repro.fuzz.campaign import (
-        MULTICORE_SCHEMES,
-        MultiCoreCell,
-        run_multicore_campaign,
-    )
-    from repro.fuzz.report import format_multicore_report
-
-    try:
-        cores = [int(c) for c in args.cores.split(",") if c.strip()]
-        thetas = [float(t) for t in args.thetas.split(",") if t.strip()]
-    except ValueError as exc:
-        raise SystemExit(f"bad --cores/--thetas value: {exc}")
-    if not cores or any(c < 1 for c in cores):
-        raise SystemExit("--cores needs positive core counts")
-    if any(t < 0 for t in thetas):
-        raise SystemExit("--thetas needs non-negative skews")
-    workloads = ["hashtable"]
-    if args.workloads:
-        wanted = [w.strip() for w in args.workloads.split(",")]
-        unknown = set(wanted) - set(SUBJECTS)
-        if unknown:
-            raise SystemExit(f"unknown workload(s): {sorted(unknown)}")
-        workloads = wanted
-    schemes = list(MULTICORE_SCHEMES)
-    if args.schemes:
-        schemes = [s.strip() for s in args.schemes.split(",")]
-    cells = [
-        MultiCoreCell(w, s, c, t)
-        for w in workloads
-        for s in schemes
-        for c in cores
-        for t in thetas
-    ]
-    if not cells:
-        raise SystemExit("no cells selected")
-
-    budget = args.budget if args.budget is not None else 60
-    out = args.out if args.out != DEFAULT_OUT else DEFAULT_MULTICORE_OUT
-    jobs = resolve_jobs(args.jobs)
-    try:
-        result = run_multicore_campaign(
-            budget=budget, seed=args.seed, cells=cells,
-            ops_per_core=args.ops, num_keys=args.num_keys,
-            value_bytes=args.value_bytes, jobs=jobs,
-            progress=_progress if jobs > 1 else None,
-        )
-    except WorkerCrash as exc:
-        print(f"contention campaign failed: {exc}", file=sys.stderr)
-        return 2
-    text = format_multicore_report(result)
-    print(text, end="")
-
-    out_dir = os.path.dirname(out) or "."
-    os.makedirs(out_dir, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    print(f"[report written to {out}]")
-    return 1 if result.violations else 0
-
-
-def _service_main(args: argparse.Namespace) -> int:
-    from repro.fuzz.campaign import (
-        DEFAULT_SERVICE_CELLS,
-        SERVICE_SCHEMES,
-        ServiceCell,
-        run_service_campaign,
-    )
-    from repro.fuzz.report import format_service_report
-    from repro.workloads import WORKLOADS
-
-    try:
-        batches = [int(b) for b in args.batches.split(",") if b.strip()]
-    except ValueError as exc:
-        raise SystemExit(f"bad --batches value: {exc}")
-    if not batches or any(b < 1 for b in batches):
-        raise SystemExit("--batches needs positive batch sizes")
-    if not (args.workloads or args.schemes or args.batches != "1,8"):
-        # No grid filters: the default grid, including the composite
-        # multi-structure cells behind the wound-wait lock manager.
-        cells = list(DEFAULT_SERVICE_CELLS)
-    else:
-        workloads = ["hashtable"]
-        if args.workloads:
-            wanted = [w.strip() for w in args.workloads.split(",")]
-            unknown = set(wanted) - set(WORKLOADS)
-            if unknown:
-                raise SystemExit(f"unknown workload(s): {sorted(unknown)}")
-            workloads = wanted
-        schemes = list(SERVICE_SCHEMES)
-        if args.schemes:
-            schemes = [s.strip() for s in args.schemes.split(",")]
-        # Composite subjects declare multiple lock structures; their
-        # cells run behind the lock manager so cross-structure
-        # atomicity is judged through it.
-        cells = [
-            ServiceCell(w, s, b, locking=(w == "multistruct"))
-            for w in workloads
-            for s in schemes
-            for b in batches
-        ]
-    if not cells:
-        raise SystemExit("no cells selected")
-
-    budget = args.budget if args.budget is not None else 150
-    out = args.out if args.out != DEFAULT_OUT else DEFAULT_SERVICE_OUT
-    jobs = resolve_jobs(args.jobs)
-    num_clients, requests_per_client = 5, 16
-    try:
-        result = run_service_campaign(
-            budget=budget, seed=args.seed, cells=cells,
-            num_clients=num_clients,
-            requests_per_client=requests_per_client,
-            value_bytes=args.value_bytes,
-            duration_cycles=args.duration, jobs=jobs,
-            progress=_progress if jobs > 1 else None,
-        )
-    except WorkerCrash as exc:
-        print(f"service campaign failed: {exc}", file=sys.stderr)
-        return 2
-    text = format_service_report(result)
-    print(text, end="")
-
-    out_dir = os.path.dirname(out) or "."
-    os.makedirs(out_dir, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    print(f"[report written to {out}]")
-
-    if result.violations:
-        for n, violation in enumerate(result.violations):
-            rep = minimize(
-                Reproducer.from_service_violation(
-                    violation,
-                    num_clients=num_clients,
-                    requests_per_client=requests_per_client,
-                    value_bytes=args.value_bytes,
-                    seed=args.seed,
-                )
-            )
-            rep_path = os.path.join(out_dir, f"service_repro_{n}.json")
-            with open(rep_path, "w", encoding="utf-8") as fh:
-                fh.write(rep.to_json())
-            print(f"[reproducer -> {rep_path}]")
-        return 1
-    return 0
-
-
-def _twopc_main(args: argparse.Namespace) -> int:
-    from repro.fuzz.report import format_twopc_report
-    from repro.fuzz.twopc import (
-        TWOPC_FAULTS,
-        TWOPC_FUZZ_SCHEMES,
-        TwoPCCell,
-        run_twopc_campaign,
-    )
-    from repro.workloads import WORKLOADS
-
-    try:
-        shards = [int(s) for s in args.shards.split(",") if s.strip()]
-    except ValueError as exc:
-        raise SystemExit(f"bad --shards value: {exc}")
-    if not shards or any(s < 2 for s in shards):
-        raise SystemExit("--shards needs counts of at least 2 (N=1 has no "
-                         "cross-shard protocol; its passivity is a test)")
-    workloads = ["hashtable"]
-    if args.workloads:
-        wanted = [w.strip() for w in args.workloads.split(",")]
-        unknown = set(wanted) - set(WORKLOADS)
-        if unknown:
-            raise SystemExit(f"unknown workload(s): {sorted(unknown)}")
-        workloads = wanted
-    schemes = list(TWOPC_FUZZ_SCHEMES)
-    if args.schemes:
-        schemes = [s.strip() for s in args.schemes.split(",")]
-    cells = [
-        TwoPCCell(w, s, n, fault)
-        for w in workloads
-        for s in schemes
-        for n in shards
-        for fault in TWOPC_FAULTS
-    ]
-    if not cells:
-        raise SystemExit("no cells selected")
-
-    budget = args.budget if args.budget is not None else 70
-    out = args.out if args.out != DEFAULT_OUT else DEFAULT_TWOPC_OUT
-    jobs = resolve_jobs(args.jobs)
-    num_clients, requests_per_client = 4, 12
-    try:
-        result = run_twopc_campaign(
-            budget=budget, seed=args.seed, cells=cells,
-            num_clients=num_clients,
-            requests_per_client=requests_per_client,
-            value_bytes=args.value_bytes, jobs=jobs,
-            progress=_progress if jobs > 1 else None,
-        )
-    except WorkerCrash as exc:
-        print(f"2PC campaign failed: {exc}", file=sys.stderr)
-        return 2
-    text = format_twopc_report(result)
-    print(text, end="")
-
-    out_dir = os.path.dirname(out) or "."
-    os.makedirs(out_dir, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    print(f"[report written to {out}]")
-
-    if result.violations:
-        for n, violation in enumerate(result.violations):
-            rep = minimize(
-                Reproducer.from_twopc_violation(
-                    violation,
-                    num_clients=num_clients,
-                    requests_per_client=requests_per_client,
-                    value_bytes=args.value_bytes,
-                    seed=args.seed,
-                )
-            )
-            rep_path = os.path.join(out_dir, f"twopc_repro_{n}.json")
-            with open(rep_path, "w", encoding="utf-8") as fh:
-                fh.write(rep.to_json())
-            print(f"[reproducer -> {rep_path}]")
-        return 1
-    return 0
+    return 1
 
 
 def fuzz_main(argv: "List[str] | None" = None) -> int:
     args = _parser().parse_args(argv)
-    if args.replay:
-        return _replay_main(args.replay)
-    if args.hazard_demo:
-        return _hazard_demo(args)
-    if args.faults:
-        return _faults_main(args)
-    if args.fault_kinds:
-        raise SystemExit("--fault-kinds requires --faults")
-    if args.duration is not None and not args.service:
-        raise SystemExit("--duration requires --service")
-    if args.multicore:
-        return _multicore_main(args)
-    if args.service:
-        return _service_main(args)
-    if args.twopc:
-        return _twopc_main(args)
-
-    cells = list(DEFAULT_CELLS)
-    if args.workloads:
-        wanted = {w.strip() for w in args.workloads.split(",")}
-        unknown = wanted - set(SUBJECTS)
-        if unknown:
-            raise SystemExit(f"unknown workload(s): {sorted(unknown)}")
-        cells = [c for c in cells if c.workload in wanted]
-    if args.schemes:
-        wanted = {s.strip() for s in args.schemes.split(",")}
-        cells = [c for c in cells if c.scheme in wanted]
-    if not cells:
-        raise SystemExit("no cells selected")
-
-    jobs = resolve_jobs(args.jobs)
     try:
-        result = run_campaign(
-            budget=args.budget if args.budget is not None else 200,
-            seed=args.seed, cells=cells, num_ops=args.ops,
-            value_bytes=args.value_bytes, jobs=jobs,
-            progress=_progress if jobs > 1 else None,
-        )
-    except WorkerCrash as exc:
-        print(f"fuzz campaign failed: {exc}", file=sys.stderr)
+        if args.replay:
+            return _replay_main(args.replay)
+        return _campaign_main(args)
+    except UsageError as exc:
+        print(f"fuzz: {exc}", file=sys.stderr)
         return 2
-    text = format_report(result)
-    print(text, end="")
-
-    out_dir = os.path.dirname(args.out) or "."
-    os.makedirs(out_dir, exist_ok=True)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    print(f"[report written to {args.out}]")
-
-    if result.violations:
-        from repro.fuzz.campaign import generate_ops
-
-        for n, violation in enumerate(result.violations):
-            ops = generate_ops(violation.cell.workload, args.ops, args.seed)
-            rep = minimize(
-                Reproducer.from_violation(
-                    violation, ops, value_bytes=args.value_bytes
-                )
-            )
-            rep_path = os.path.join(out_dir, f"fuzz_repro_{n}.json")
-            with open(rep_path, "w", encoding="utf-8") as fh:
-                fh.write(rep.to_json())
-            print(f"[reproducer -> {rep_path}]")
-        return 1
-    return 0

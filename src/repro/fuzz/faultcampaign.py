@@ -32,7 +32,7 @@ After injection, every case is judged twice:
    damage in its report.
 
 Everything is seeded and Date-free, so a ``(seed, ops)`` pair replays
-byte-for-byte; violations serialize through the PR-1 reproducer/minimizer
+byte-for-byte; violations serialize through the reproducer/minimizer
 with a ``fault`` field carrying the exact injection coordinates.
 """
 
@@ -45,7 +45,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.common.config import SystemConfig
 from repro.common.errors import (
     LogChecksumError,
-    PowerFailure,
     RecoveryError,
     SimulationError,
     TornLogError,
@@ -57,14 +56,19 @@ from repro.fuzz.campaign import (
     SUBJECTS,
     CaseResult,
     Op,
+    Verdict,
+    Violation,
     _build,
+    _check_recovered,
     apply_op,
     baseline_states,
+    clean_verdict,
     generate_ops,
-    _check_recovered,
+    read_durable,
+    record,
+    run_ops,
 )
-from repro.fuzz.invariants import InvariantViolation, State, durable_state
-from repro.fuzz.oplog import OpLog
+from repro.fuzz.invariants import State
 from repro.recovery.engine import recover
 
 #: Scheme grid of the default fault campaign: the full design under both
@@ -92,19 +96,6 @@ class FaultCell:
 
 
 @dataclass
-class FaultViolation:
-    """One fault-campaign failure with its injection coordinates."""
-
-    cell: FaultCell
-    fault: Dict
-    check: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.cell} @{self.fault} [{self.check}] {self.message}"
-
-
-@dataclass
 class FaultCellReport:
     """Coverage and outcome for one fault cell."""
 
@@ -115,26 +106,7 @@ class FaultCellReport:
     exhaustive: bool
     fired: int
     salvaged_txs: int
-    violations: List[FaultViolation] = field(default_factory=list)
-
-
-@dataclass
-class FaultCampaignResult:
-    """A whole fault campaign: parameters plus every cell report."""
-
-    budget: int
-    seed: int
-    num_ops: int
-    value_bytes: int
-    cells: List[FaultCellReport] = field(default_factory=list)
-
-    @property
-    def total_cases(self) -> int:
-        return sum(c.cases_run for c in self.cells)
-
-    @property
-    def violations(self) -> List[FaultViolation]:
-        return [v for c in self.cells for v in c.violations]
+    violations: List[Violation] = field(default_factory=list)
 
 
 # ----------------------------------------------------------------------
@@ -210,103 +182,86 @@ def run_fault_case(
     machine, rt, subject = _build(
         workload, scheme, policy, value_bytes=value_bytes, config=config
     )
-    oplog = OpLog()
-    rt.op_log = oplog
     model = _plan_from_fault(fault)
     machine.pm.fault_model = model
     if fault["kind"] == "drop-drains":
         machine.pm.arm_journal()
         machine.schedule_crash_after_persists(fault["crash_point"])
-
-    committed = 0
-    crashed = False
-    try:
-        for i, op in enumerate(ops):
-            oplog.begin_op(i)
-            apply_op(subject, op)
-            committed += 1
-    except PowerFailure:
-        crashed = True
-
+    committed, oplog, crashed = run_ops(rt, subject, ops)
     if not crashed:
         # The plan never fired (coordinates past the run's end): a clean
         # completion, verified like any non-crash case.
         machine.cancel_scheduled_crash()
         machine.pm.fault_model = None
-        violation = None
-        check = ""
-        try:
-            subject.verify()
-        except RecoveryError as exc:
-            violation, check = str(exc), "structure"
-        return CaseResult(
-            crashed=False,
-            committed_ops=committed,
-            tx_commits=oplog.total_commits,
-            violation=violation,
-            check=check,
+        violation, check = clean_verdict(subject.verify)
+    else:
+        machine.checkpoint = None
+        machine.crash()
+        machine.pm.fault_model = None
+        model.apply_post_crash(machine.pm)
+        violation, check = _judge_recovery(
+            machine, subject, fault, baseline, committed
         )
+    return CaseResult(crashed, committed, oplog.total_commits, violation, check)
 
-    machine.checkpoint = None
-    machine.crash()
-    machine.pm.fault_model = None
-    model.apply_post_crash(machine.pm)
 
-    violation, check = _judge_recovery(
-        machine, subject, fault, model, baseline, committed, len(ops)
-    )
-    return CaseResult(
-        crashed=True,
-        committed_ops=committed,
-        tx_commits=oplog.total_commits,
-        violation=violation,
-        check=check,
-    )
+def probe_media(
+    pm, mode, fault: Dict, node: Optional[str] = None
+) -> Tuple[bool, Optional[Tuple[str, str]]]:
+    """Detection and strict probe of a fault-injected, crashed image.
+
+    Returns ``(damaged, failure)``: whether the tolerant byte parse sees
+    damage, and the ``(message, check)`` of a failed probe or None.
+
+    * **detection** — whenever the injection actually damaged the media
+      (the structural damage ledger is the ground truth — a zero-cut
+      tear and a full-cut tear leave it empty on purpose), the tolerant
+      byte parse must see it too.  A fired bit flip that parses clean is
+      a CRC escape; a fired partial tear that parses clean is a framing
+      bug.
+    * **strict** — ``recover(policy="strict")`` on a snapshot (so the
+      real image stays recoverable) must raise a typed error *iff* the
+      media is damaged.
+
+    *node* names the machine of a multi-node deployment in messages.
+    """
+    damaged = not pm.parse_byte_log_tolerant().clean
+    if pm.log_damage and not damaged:
+        return damaged, (
+            f"media damage escaped the tolerant parse ({fault})",
+            "detection",
+        )
+    strict_err: Optional[RecoveryError] = None
+    try:
+        recover(pm.snapshot(), mode=mode, from_bytes=True, policy="strict")
+    except (TornLogError, LogChecksumError) as err:
+        strict_err = err
+    on = "" if node is None else f" on {node}"
+    if damaged and strict_err is None:
+        log = "log" if node is None else f"protocol log{on}"
+        return damaged, (
+            f"strict recovery silently accepted a damaged {log}", "strict"
+        )
+    if not damaged and strict_err is not None:
+        return damaged, (
+            f"strict recovery rejected an undamaged log{on}: {strict_err}",
+            "strict",
+        )
+    return damaged, None
 
 
 def _judge_recovery(
     machine,
     subject,
     fault: Dict,
-    model: FaultModel,
     baseline: List[State],
     committed: int,
-    num_ops: int,
-) -> Tuple[Optional[str], str]:
+) -> Verdict:
     """The double judgement described in the module docstring."""
-    pm = machine.pm
     mode = machine.scheme.logging_mode
-    parsed = pm.parse_byte_log_tolerant()
-    damaged = not parsed.clean
-
-    # Detection: whenever the injection actually damaged the media (the
-    # structural damage ledger is the ground truth — a zero-cut tear and
-    # a full-cut tear leave it empty on purpose), the tolerant byte
-    # parse must see it too.  A fired bit flip that parses clean is a
-    # CRC escape; a fired partial tear that parses clean is a framing
-    # bug.  Either way the checksummed wire format failed its one job.
-    if pm.log_damage and not damaged:
-        return (
-            f"media damage escaped the tolerant parse ({fault})",
-            "detection",
-        )
-
-    # Strict probe, on a snapshot so the real image stays recoverable.
-    strict_err: Optional[RecoveryError] = None
-    try:
-        recover(pm.snapshot(), mode=mode, from_bytes=True, policy="strict")
-    except (TornLogError, LogChecksumError) as err:
-        strict_err = err
-    if damaged and strict_err is None:
-        return (
-            "strict recovery silently accepted a damaged log",
-            "strict",
-        )
-    if not damaged and strict_err is not None:
-        return (
-            f"strict recovery rejected an undamaged log: {strict_err}",
-            "strict",
-        )
+    damaged, failure = probe_media(machine.pm, mode, fault)
+    if failure is not None:
+        return failure
 
     # Salvage recovery on the real image, with the workload's hooks —
     # from the byte stream, the view a real post-crash controller has
@@ -314,7 +269,8 @@ def _judge_recovery(
     # completed on media even though the crash beat the bookkeeping).
     try:
         report = recover(
-            pm, mode=mode, hooks=[subject], from_bytes=True, policy="salvage"
+            machine.pm, mode=mode, hooks=[subject], from_bytes=True,
+            policy="salvage",
         )
     except RecoveryError as exc:
         return f"salvage recovery failed: {exc}", "salvage"
@@ -326,26 +282,19 @@ def _judge_recovery(
 
     if fault["kind"] == "drop-drains":
         return _check_prefix_family(subject, baseline, committed)
-    return _check_recovered(subject, baseline, committed, num_ops)
+    return _check_recovered(subject, baseline, committed)
 
 
 def _check_prefix_family(
     subject, baseline: List[State], committed: int
-) -> Tuple[Optional[str], str]:
+) -> Verdict:
     """Dropped drains rewind the media to an earlier durability event,
     so recovery must land on *some* committed prefix — at most
     ``committed + 1`` (in-flight marker already durable), possibly far
     earlier (a dropped commit-marker drain un-commits its transaction)."""
-    try:
-        if hasattr(subject, "check_integrity"):
-            subject.check_integrity(subject.reader(durable=True))
-        state = durable_state(subject)
-    except RecoveryError as exc:
-        return str(exc), "structure"
-    except SimulationError as exc:
-        return f"durable traversal failed: {exc}", "structure"
-    except InvariantViolation as exc:
-        return exc.message, exc.check
+    state, failure = read_durable(subject)
+    if failure is not None:
+        return failure
     top = min(committed + 1, len(baseline) - 1)
     if any(state == baseline[k] for k in range(top + 1)):
         return None, ""
@@ -462,17 +411,9 @@ def run_fault_cell(
             value_bytes=value_bytes, config=config, baseline=baseline,
         )
         report.cases_run += 1
-        if result.crashed:
-            report.fired += 1
-        if result.violation is not None:
-            report.violations.append(
-                FaultViolation(
-                    cell=cell,
-                    fault=fault,
-                    check=result.check,
-                    message=result.violation,
-                )
-            )
+        report.fired += result.crashed
+        record(report, cell, "fault", int(fault.get("crash_point", 0)),
+               result, fault)
     return report
 
 
@@ -488,125 +429,3 @@ def default_fault_cells(
         for scheme in schemes
         for kind in kinds
     ]
-
-
-def run_fault_campaign(
-    budget: int = 24,
-    seed: int = 7,
-    *,
-    cells: Optional[Sequence[FaultCell]] = None,
-    num_ops: int = 10,
-    value_bytes: int = 32,
-    config: SystemConfig = STRESS_CONFIG,
-    jobs: int = 1,
-    progress=None,
-) -> FaultCampaignResult:
-    """Run the fault-cell grid; ops and FG baselines are shared per
-    workload so every scheme/fault combination attacks the identical
-    deterministic op sequence.  *jobs* > 1 fans cells out over worker
-    processes with an order-preserving merge (byte-identical report)."""
-    from repro.parallel import engine
-    from repro.parallel.tasks import fault_cell
-
-    if cells is None:
-        cells = default_fault_cells()
-    result = FaultCampaignResult(
-        budget=budget, seed=seed, num_ops=num_ops, value_bytes=value_bytes
-    )
-    ops_cache: Dict[str, List[Op]] = {}
-    baseline_cache: Dict[str, List[State]] = {}
-    for cell in cells:
-        if cell.workload not in ops_cache:
-            ops_cache[cell.workload] = generate_ops(cell.workload, num_ops, seed)
-            baseline_cache[cell.workload] = baseline_states(
-                cell.workload,
-                ops_cache[cell.workload],
-                value_bytes=value_bytes,
-                config=config,
-            )
-    descriptors = [
-        {
-            "cell": cell,
-            "budget": budget,
-            "seed": seed,
-            "ops": ops_cache[cell.workload],
-            "value_bytes": value_bytes,
-            "config": config,
-            "baseline": baseline_cache[cell.workload],
-        }
-        for cell in cells
-    ]
-    result.cells = engine.run_tasks(
-        fault_cell,
-        descriptors,
-        jobs=jobs,
-        labels=[str(cell) for cell in cells],
-        progress=progress,
-    )
-    return result
-
-
-# ----------------------------------------------------------------------
-# report
-# ----------------------------------------------------------------------
-
-_COLUMNS = (
-    ("workload", 10),
-    ("scheme", 10),
-    ("fault", 11),
-    ("ops", 4),
-    ("appends", 8),
-    ("cases", 6),
-    ("fired", 6),
-    ("coverage", 10),
-    ("violations", 10),
-)
-
-
-def _row(values: List) -> str:
-    return "  ".join(
-        str(v).ljust(width) for (_, width), v in zip(_COLUMNS, values)
-    ).rstrip()
-
-
-def format_fault_report(result: FaultCampaignResult) -> str:
-    """The fault-campaign table plus totals, stable for a given
-    ``(budget, seed)`` — no timestamps, fixed cell order."""
-    lines = [
-        "SLPMT media-fault injection campaign",
-        f"budget={result.budget} sampled cases per cell, seed={result.seed}, "
-        f"ops/cell={result.num_ops}, value_bytes={result.value_bytes}, "
-        "config=stress (512B/1KB/8KB caches)",
-        "torn-tail cells enumerate every word-boundary cut exhaustively",
-        "",
-        _row([name for name, _ in _COLUMNS]),
-        _row(["-" * min(w, 10) for _, w in _COLUMNS]),
-    ]
-    for cell in result.cells:
-        lines.append(
-            _row(
-                [
-                    cell.cell.workload,
-                    cell.cell.scheme,
-                    cell.cell.fault_kind,
-                    cell.num_ops,
-                    cell.appends,
-                    cell.cases_run,
-                    cell.fired,
-                    "all-cuts" if cell.exhaustive else "sampled",
-                    len(cell.violations),
-                ]
-            )
-        )
-    exhaustive_cells = sum(1 for c in result.cells if c.exhaustive)
-    lines += [
-        "",
-        f"cells: {len(result.cells)} "
-        f"({exhaustive_cells} with exhaustive torn-tail coverage)",
-        f"cases: {result.total_cases}",
-        f"violations: {len(result.violations)}",
-    ]
-    for violation in result.violations:
-        lines.append(f"  VIOLATION {violation}")
-    lines.append("")
-    return "\n".join(lines)

@@ -1,36 +1,40 @@
-"""Violation shrinking and byte-for-byte replay.
+"""Violation shrinking and byte-for-byte replay, for every family.
 
 A :class:`Reproducer` freezes everything a violation needs to fire
 again: workload, scheme, annotation policy, value size, the exact op
-list and the exact crash point.  Because the whole simulator is
-deterministic (no wall clock, no unseeded RNG anywhere in the stack),
-re-running a reproducer executes the identical instruction stream and
-produces the identical violation message.
+list (or the request-volume scalars of a service / 2PC run), the exact
+crash point and any media-fault coordinates.  Because the whole
+simulator is deterministic (no wall clock, no unseeded RNG anywhere in
+the stack), re-running a reproducer executes the identical instruction
+stream and produces the identical violation message.
 
 Shrinking happens in two phases:
 
-1. **ops** — greedy delta-debugging: repeatedly try dropping chunks of
-   the op sequence (halving chunk sizes down to single ops) and keep any
-   candidate that still violates *somewhere* in its crash-point sweep;
-2. **crash point** — over the shrunk ops, take the smallest crash point
-   of the same kind that still violates.
+1. **input** — greedy delta-debugging over the op sequence (dropping
+   chunks, halving chunk sizes down to single ops), or for service and
+   2PC reproducers halving the per-client request count and then
+   peeling off clients; a candidate is kept when it still violates
+   *somewhere* in its crash-point sweep;
+2. **crash point** — over the shrunk input, take the smallest crash
+   point of the same kind that still violates.  A media-fault plan is
+   held fixed instead: its coordinates address the physical wire
+   layout, so it cannot be re-scanned independently of the input.
+
+The family-specific parts — which fields a violation freezes into, how
+a reproducer replays, how many crash points it has — are hooks of the
+family table (:data:`repro.fuzz.kernel.FAMILIES`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.common.config import SystemConfig
-from repro.fuzz.campaign import (
-    STRESS_CONFIG,
-    CaseResult,
-    Op,
-    Violation,
-    baseline_states,
-    run_case,
-)
+from repro.fuzz.campaign import STRESS_CONFIG, CaseResult, Op, Violation
+from repro.fuzz.kernel import FAMILIES, Family, resolve
 
 
 @dataclass
@@ -38,19 +42,17 @@ class Reproducer:
     """A self-contained, JSON-serialisable violation reproducer.
 
     *fault* is None for plain crash violations.  For media-fault
-    violations it carries the exact injection coordinates (the fault
-    dict of :func:`repro.fuzz.faultcampaign.run_fault_case`) and
+    violations it carries the exact injection coordinates and
     ``crash_kind`` is ``"fault"``; *crash_point* is then meaningful only
     for drop-drain plans (it is mirrored inside the fault dict).
 
     *service* / *twopc* switch the replay target from an op sequence to
-    a whole deterministic workload: a transaction-service run
-    (:func:`repro.fuzz.campaign.run_service_case`) or a sharded 2PC
-    deployment (:func:`repro.fuzz.twopc.run_twopc_case`).  They carry
-    the generation scalars (clients, requests per client, seed, batch
-    size / shard count); *ops* is then empty and shrinking reduces the
-    request volume instead of the op list.  A 2PC reproducer may also
-    carry *fault* (a torn/flipped protocol record, with its node label).
+    a whole deterministic workload: a transaction-service run or a
+    sharded 2PC deployment.  They carry the generation scalars (clients,
+    requests per client, seed, batch size / shard count); *ops* is then
+    empty and shrinking reduces the request volume instead of the op
+    list.  A 2PC reproducer may also carry *fault* (a torn/flipped
+    protocol record, with its node label).
     """
 
     workload: str
@@ -71,180 +73,50 @@ class Reproducer:
 
     @classmethod
     def from_json(cls, text: str) -> "Reproducer":
+        """Parse a reproducer file; files written before the ``fault``,
+        ``service`` or ``twopc`` fields existed load with them None."""
         data = json.loads(text)
         data["ops"] = [list(op) for op in data["ops"]]
-        data.setdefault("fault", None)  # tolerate pre-fault files
-        data.setdefault("service", None)  # tolerate pre-service files
-        data.setdefault("twopc", None)  # tolerate pre-2PC files
         return cls(**data)
 
     @classmethod
     def from_violation(
-        cls, violation: Violation, ops: Sequence[Op], *, value_bytes: int
+        cls, family: str, violation: Violation, *, seed: int, **params: Any
     ) -> "Reproducer":
+        """Freeze a *family* violation found by a campaign run with
+        *seed* and *params* (missing params take the family defaults)."""
+        spec = FAMILIES[family]
+        if spec.freeze is None:
+            raise ValueError(f"{family} violations have no reproducer")
+        params = {**spec.params, **params}
         return cls(
             workload=violation.cell.workload,
             scheme=violation.cell.scheme,
-            policy=violation.cell.policy,
-            value_bytes=value_bytes,
-            ops=[list(op) for op in ops],
-            crash_kind=violation.crash_kind,
-            crash_point=violation.crash_point,
-            violation=violation.message,
-            check=violation.check,
-        )
-
-    @classmethod
-    def from_fault_violation(
-        cls, violation, ops: Sequence[Op], *, value_bytes: int
-    ) -> "Reproducer":
-        """Freeze a :class:`repro.fuzz.faultcampaign.FaultViolation`."""
-        from repro.fuzz.faultcampaign import FAULT_POLICY  # local: avoid cycle
-
-        return cls(
-            workload=violation.cell.workload,
-            scheme=violation.cell.scheme,
-            policy=FAULT_POLICY,
-            value_bytes=value_bytes,
-            ops=[list(op) for op in ops],
-            crash_kind="fault",
-            crash_point=int(violation.fault.get("crash_point", 0)),
-            violation=violation.message,
-            check=violation.check,
-            fault=dict(violation.fault),
-        )
-
-    @classmethod
-    def from_service_violation(
-        cls,
-        violation: Violation,
-        *,
-        num_clients: int,
-        requests_per_client: int,
-        value_bytes: int,
-        seed: int,
-    ) -> "Reproducer":
-        """Freeze a service-campaign violation (cell is a
-        :class:`repro.fuzz.campaign.ServiceCell`)."""
-        return cls(
-            workload=violation.cell.workload,
-            scheme=violation.cell.scheme,
-            policy="none",
-            value_bytes=value_bytes,
-            ops=[],
-            crash_kind=violation.crash_kind,
-            crash_point=violation.crash_point,
-            violation=violation.message,
-            check=violation.check,
-            service={
-                "batch_size": violation.cell.batch_size,
-                "locking": violation.cell.locking,
-                "num_clients": num_clients,
-                "requests_per_client": requests_per_client,
-                "seed": seed,
-            },
-        )
-
-    @classmethod
-    def from_twopc_violation(
-        cls,
-        violation,
-        *,
-        num_clients: int,
-        requests_per_client: int,
-        value_bytes: int,
-        seed: int,
-    ) -> "Reproducer":
-        """Freeze a :class:`repro.fuzz.twopc.TwoPCViolation`."""
-        return cls(
-            workload=violation.cell.workload,
-            scheme=violation.cell.scheme,
-            policy="none",
-            value_bytes=value_bytes,
-            ops=[],
+            value_bytes=params["value_bytes"],
             crash_kind=violation.crash_kind,
             crash_point=violation.crash_point,
             violation=violation.message,
             check=violation.check,
             fault=dict(violation.fault) if violation.fault else None,
-            twopc={
-                "shards": violation.cell.shards,
-                "num_clients": num_clients,
-                "requests_per_client": requests_per_client,
-                "seed": seed,
-            },
+            **spec.freeze(violation.cell, params, seed),
         )
 
-
-def _twopc_cell(rep: Reproducer):
-    from repro.fuzz.twopc import TwoPCCell  # local: avoid cycle
-
-    return TwoPCCell(
-        rep.workload,
-        rep.scheme,
-        rep.twopc["shards"],
-        "torn-decision" if rep.fault is not None else "crash",
-    )
+    @property
+    def family(self) -> Family:
+        """The family whose case this reproducer replays."""
+        if self.twopc is not None:
+            return FAMILIES["twopc"]
+        if self.service is not None:
+            return FAMILIES["service"]
+        return FAMILIES["fault" if self.fault is not None else "single"]
 
 
 def replay(
     rep: Reproducer, *, config: SystemConfig = STRESS_CONFIG
 ) -> CaseResult:
     """Re-run a reproducer exactly; deterministic by construction."""
-    if rep.twopc is not None:
-        from repro.fuzz.twopc import run_twopc_case  # local: avoid cycle
-
-        return run_twopc_case(
-            _twopc_cell(rep),
-            rep.crash_kind,
-            rep.crash_point,
-            fault=rep.fault,
-            num_clients=rep.twopc["num_clients"],
-            requests_per_client=rep.twopc["requests_per_client"],
-            value_bytes=rep.value_bytes,
-            seed=rep.twopc["seed"],
-            config=config,
-        )
-    if rep.service is not None:
-        from repro.fuzz.campaign import ServiceCell, run_service_case
-
-        return run_service_case(
-            ServiceCell(
-                rep.workload,
-                rep.scheme,
-                rep.service["batch_size"],
-                locking=rep.service.get("locking", False),
-            ),
-            rep.crash_kind,
-            rep.crash_point,
-            num_clients=rep.service["num_clients"],
-            requests_per_client=rep.service["requests_per_client"],
-            value_bytes=rep.value_bytes,
-            seed=rep.service["seed"],
-            config=config,
-        )
-    if rep.fault is not None:
-        from repro.fuzz.faultcampaign import run_fault_case  # local: avoid cycle
-
-        return run_fault_case(
-            rep.workload,
-            rep.scheme,
-            rep.policy,
-            rep.ops,
-            rep.fault,
-            value_bytes=rep.value_bytes,
-            config=config,
-        )
-    return run_case(
-        rep.workload,
-        rep.scheme,
-        rep.policy,
-        rep.ops,
-        rep.crash_kind,
-        rep.crash_point,
-        value_bytes=rep.value_bytes,
-        config=config,
-    )
+    spec = rep.family
+    return spec.replay(resolve(spec.case_fn), rep, config)
 
 
 # ----------------------------------------------------------------------
@@ -254,358 +126,94 @@ def replay(
 #: Safety cap on crash points scanned per shrink candidate.
 _SCAN_CAP = 800
 
-
-def _count_points(
-    rep: Reproducer, ops: Sequence[Op], *, config: SystemConfig
-) -> int:
-    """Post-setup crash-point total for *ops* of the reproducer's kind."""
-    from repro.fuzz.campaign import _build, apply_op  # local: avoid cycle
-
-    machine, _rt, subject = _build(
-        rep.workload, rep.scheme, rep.policy,
-        value_bytes=rep.value_bytes, config=config,
-    )
-    events0 = machine.wpq.total_inserts
-    instrs0 = machine.stats.instructions
-    for op in ops:
-        apply_op(subject, op)
-    if rep.crash_kind == "persist":
-        return machine.wpq.total_inserts - events0
-    return machine.stats.instructions - instrs0
+#: A first violation: ``(crash point, message, check)``.
+Found = Optional[Tuple[int, str, str]]
 
 
-def _first_violation(
-    rep: Reproducer,
-    ops: Sequence[Op],
-    *,
-    config: SystemConfig,
-    stop_at: Optional[int] = None,
-) -> Optional[Tuple[int, str, str]]:
-    """Scan crash points in ascending order; return the first violating
-    ``(point, message, check)`` or None."""
-    total = _count_points(rep, ops, config=config)
-    if stop_at is not None:
-        total = min(total, stop_at)
-    total = min(total, _SCAN_CAP)
-    baseline = baseline_states(
-        rep.workload, ops, value_bytes=rep.value_bytes, config=config
-    )
-    for point in range(total):
-        result = run_case(
-            rep.workload, rep.scheme, rep.policy, ops, rep.crash_kind, point,
-            value_bytes=rep.value_bytes, config=config, baseline=baseline,
-        )
+def first_violation(
+    rep: Reproducer, *, config: SystemConfig = STRESS_CONFIG
+) -> Found:
+    """Scan *rep*'s crash points of its kind in ascending order and
+    return the first violating ``(point, message, check)``, or None.
+    A fault plan is not scanned: it is re-run as is."""
+    if rep.fault is not None:
+        points = [rep.crash_point]
+    else:
+        points = range(min(rep.family.points(rep, config), _SCAN_CAP))
+    for point in points:
+        result = replay(dataclasses.replace(rep, crash_point=point), config=config)
         if result.violation is not None:
             return point, result.violation, result.check
     return None
 
 
-def _fault_violates(
-    rep: Reproducer, ops: Sequence[Op], *, config: SystemConfig
-) -> Optional[Tuple[str, str]]:
-    """Whether the reproducer's fixed fault plan still violates over
-    *ops*: ``(message, check)`` or None.  Dropping ops shifts the wire
-    layout, so a candidate whose plan no longer fires (append index past
-    the shorter run, drain count past the journal) simply stops
-    violating and is rejected."""
-    from repro.fuzz.faultcampaign import run_fault_case  # local: avoid cycle
-
-    result = run_fault_case(
-        rep.workload, rep.scheme, rep.policy, ops, rep.fault,
-        value_bytes=rep.value_bytes, config=config,
-    )
-    if result.violation is None:
-        return None
-    return result.violation, result.check
-
-
-def _minimize_fault(rep: Reproducer, *, config: SystemConfig) -> Reproducer:
-    """Greedy op shrinking with the fault plan held fixed.  Fault
-    coordinates address the physical wire layout, so unlike crash points
-    they cannot be re-scanned independently of the ops — only the op
-    list shrinks."""
+def _shrink_ops(rep: Reproducer, first: Callable[[Reproducer], Found]) -> Reproducer:
+    """Greedy delta-debugging over the op list."""
     ops = [list(op) for op in rep.ops]
     chunk = max(1, len(ops) // 2)
     while chunk >= 1:
         start = 0
         while start < len(ops) and len(ops) > 1:
             candidate = ops[:start] + ops[start + chunk:]
-            if candidate and _fault_violates(rep, candidate, config=config):
+            if candidate and first(dataclasses.replace(rep, ops=candidate)):
                 ops = candidate
             else:
                 start += chunk
         chunk //= 2
-
-    found = _fault_violates(rep, ops, config=config)
-    if found is None:
-        ops = [list(op) for op in rep.ops]
-        found = _fault_violates(rep, ops, config=config)
-    if found is None:
-        raise AssertionError(
-            "fault reproducer no longer violates — non-deterministic subject?"
-        )
-    message, check = found
-    return Reproducer(
-        workload=rep.workload,
-        scheme=rep.scheme,
-        policy=rep.policy,
-        value_bytes=rep.value_bytes,
-        ops=ops,
-        crash_kind="fault",
-        crash_point=rep.crash_point,
-        violation=message,
-        check=check,
-        fault=dict(rep.fault),
-    )
+    return dataclasses.replace(rep, ops=ops)
 
 
-# ----------------------------------------------------------------------
-# service / 2PC shrinking (request volume instead of the op list)
-# ----------------------------------------------------------------------
+def _shrink_volume(
+    rep: Reproducer, first: Callable[[Reproducer], Found]
+) -> Reproducer:
+    """Greedy request-volume shrinking: halve the per-client request
+    count while the violation survives, then peel clients off one at a
+    time."""
+    key = "twopc" if rep.twopc is not None else "service"
+    scalars = getattr(rep, key)
 
+    def at(clients: int, requests: int) -> Reproducer:
+        return dataclasses.replace(rep, **{key: dict(
+            scalars, num_clients=clients, requests_per_client=requests
+        )})
 
-def _service_first_violation(
-    rep: Reproducer,
-    num_clients: int,
-    requests_per_client: int,
-    *,
-    config: SystemConfig,
-) -> Optional[Tuple[int, str, str]]:
-    """Ascending crash-point scan of the reproducer's kind over a
-    service run of the given request volume."""
-    from repro.fuzz.campaign import (  # local: avoid cycle
-        ServiceCell,
-        _build_service,
-        run_service_case,
-    )
-
-    cell = ServiceCell(
-        rep.workload,
-        rep.scheme,
-        rep.service["batch_size"],
-        locking=rep.service.get("locking", False),
-    )
-    seed = rep.service["seed"]
-    svc = _build_service(
-        cell,
-        num_clients=num_clients,
-        requests_per_client=requests_per_client,
-        value_bytes=rep.value_bytes,
-        seed=seed,
-        config=config,
-    )
-    events0 = svc.machine.wpq.total_inserts
-    instrs0 = svc.machine.stats.instructions
-    svc.serve()
-    if rep.crash_kind == "persist":
-        total = svc.machine.wpq.total_inserts - events0
-    else:
-        total = svc.machine.stats.instructions - instrs0
-    for point in range(min(total, _SCAN_CAP)):
-        result = run_service_case(
-            cell,
-            rep.crash_kind,
-            point,
-            num_clients=num_clients,
-            requests_per_client=requests_per_client,
-            value_bytes=rep.value_bytes,
-            seed=seed,
-            config=config,
-        )
-        if result.violation is not None:
-            return point, result.violation, result.check
-    return None
-
-
-def _twopc_first_violation(
-    rep: Reproducer,
-    num_clients: int,
-    requests_per_client: int,
-    *,
-    config: SystemConfig,
-) -> Optional[Tuple[int, str, str]]:
-    """The 2PC counterpart: step/persist kinds re-scan their point
-    space ascending; a fault plan is held fixed (its coordinates address
-    one node's physical append clock) and the candidate is accepted iff
-    the plan still fires and violates."""
-    from repro.fuzz.twopc import _build_twopc, run_twopc_case  # local: avoid cycle
-
-    cell = _twopc_cell(rep)
-    seed = rep.twopc["seed"]
-    if rep.fault is not None:
-        result = run_twopc_case(
-            cell,
-            rep.crash_kind,
-            rep.crash_point,
-            fault=rep.fault,
-            num_clients=num_clients,
-            requests_per_client=requests_per_client,
-            value_bytes=rep.value_bytes,
-            seed=seed,
-            config=config,
-        )
-        if result.violation is None:
-            return None
-        return rep.crash_point, result.violation, result.check
-    dep = _build_twopc(
-        cell,
-        num_clients=num_clients,
-        requests_per_client=requests_per_client,
-        value_bytes=rep.value_bytes,
-        seed=seed,
-        config=config,
-    )
-    machines = dict(dep.all_machines())
-    if rep.crash_kind == "step":
-        dep.serve()
-        total = len(dep.coordinator.steps.names)
-    elif rep.crash_kind.startswith("persist:"):
-        machine = machines[rep.crash_kind.split(":", 1)[1]]
-        before = machine.wpq.total_inserts
-        dep.serve()
-        total = machine.wpq.total_inserts - before
-    else:
-        raise ValueError(f"unknown crash kind {rep.crash_kind!r}")
-    for point in range(min(total, _SCAN_CAP)):
-        result = run_twopc_case(
-            cell,
-            rep.crash_kind,
-            point,
-            num_clients=num_clients,
-            requests_per_client=requests_per_client,
-            value_bytes=rep.value_bytes,
-            seed=seed,
-            config=config,
-        )
-        if result.violation is not None:
-            return point, result.violation, result.check
-    return None
-
-
-def _shrink_volume(first_violation, num_clients: int, requests_per_client: int):
-    """Greedy request-volume shrinking shared by the service and 2PC
-    paths: halve the per-client request count while the violation
-    survives, then peel clients off one at a time."""
-    found = None
-    rpc = requests_per_client
-    while rpc > 1:
-        candidate = max(1, rpc // 2)
-        result = first_violation(num_clients, candidate)
-        if result is None:
-            break
-        rpc, found = candidate, result
-    nc = num_clients
-    while nc > 1:
-        result = first_violation(nc - 1, rpc)
-        if result is None:
-            break
-        nc, found = nc - 1, result
-    if found is None:
-        found = first_violation(nc, rpc)
-    return found, nc, rpc
-
-
-def _minimize_service(rep: Reproducer, *, config: SystemConfig) -> Reproducer:
-    found, nc, rpc = _shrink_volume(
-        lambda n, r: _service_first_violation(rep, n, r, config=config),
-        rep.service["num_clients"],
-        rep.service["requests_per_client"],
-    )
-    if found is None:
-        raise AssertionError(
-            "service reproducer no longer violates — non-deterministic run?"
-        )
-    point, message, check = found
-    service = dict(rep.service)
-    service["num_clients"] = nc
-    service["requests_per_client"] = rpc
-    return Reproducer(
-        workload=rep.workload,
-        scheme=rep.scheme,
-        policy=rep.policy,
-        value_bytes=rep.value_bytes,
-        ops=[],
-        crash_kind=rep.crash_kind,
-        crash_point=point,
-        violation=message,
-        check=check,
-        service=service,
-    )
-
-
-def _minimize_twopc(rep: Reproducer, *, config: SystemConfig) -> Reproducer:
-    found, nc, rpc = _shrink_volume(
-        lambda n, r: _twopc_first_violation(rep, n, r, config=config),
-        rep.twopc["num_clients"],
-        rep.twopc["requests_per_client"],
-    )
-    if found is None:
-        raise AssertionError(
-            "2PC reproducer no longer violates — non-deterministic run?"
-        )
-    point, message, check = found
-    twopc = dict(rep.twopc)
-    twopc["num_clients"] = nc
-    twopc["requests_per_client"] = rpc
-    return Reproducer(
-        workload=rep.workload,
-        scheme=rep.scheme,
-        policy=rep.policy,
-        value_bytes=rep.value_bytes,
-        ops=[],
-        crash_kind=rep.crash_kind,
-        crash_point=point,
-        violation=message,
-        check=check,
-        fault=dict(rep.fault) if rep.fault else None,
-        twopc=twopc,
-    )
+    clients, requests = scalars["num_clients"], scalars["requests_per_client"]
+    while requests > 1 and first(at(clients, max(1, requests // 2))):
+        requests = max(1, requests // 2)
+    while clients > 1 and first(at(clients - 1, requests)):
+        clients -= 1
+    return at(clients, requests)
 
 
 def minimize(
     rep: Reproducer, *, config: SystemConfig = STRESS_CONFIG
 ) -> Reproducer:
-    """Shrink *rep* to a minimal reproducer (ops first, then the crash
-    point; request volume first for service/2PC reproducers), re-verifying
-    the violation at every step."""
-    if rep.twopc is not None:
-        return _minimize_twopc(rep, config=config)
-    if rep.service is not None:
-        return _minimize_service(rep, config=config)
-    if rep.fault is not None:
-        return _minimize_fault(rep, config=config)
-    ops = [list(op) for op in rep.ops]
+    """Shrink *rep* to a minimal reproducer (input first, then the crash
+    point), re-verifying the violation at every step."""
 
-    chunk = max(1, len(ops) // 2)
-    while chunk >= 1:
-        start = 0
-        while start < len(ops) and len(ops) > 1:
-            candidate = ops[:start] + ops[start + chunk:]
-            if candidate and _first_violation(rep, candidate, config=config):
-                ops = candidate
-            else:
-                start += chunk
-        chunk //= 2
+    def first(candidate: Reproducer) -> Found:
+        return first_violation(candidate, config=config)
 
-    found = _first_violation(rep, ops, config=config)
-    if found is None:
-        # Shrinking never removes the original failure: the unshrunk ops
-        # still violate, so fall back to them wholesale.
-        ops = [list(op) for op in rep.ops]
-        found = _first_violation(rep, ops, config=config)
+    if rep.fault is None and rep.crash_point >= _SCAN_CAP:
+        # No scan reaches the point: keep the reproducer as found.
+        shrunk = rep
+        result = replay(rep, config=config)
+        found = None
+        if result.violation is not None:
+            found = rep.crash_point, result.violation, result.check
+    else:
+        shrink = _shrink_volume if rep.family.volume else _shrink_ops
+        shrunk = shrink(rep, first)
+        found = first(shrunk)
+        if found is None:
+            # Shrinking never removes the original failure: the unshrunk
+            # input still violates, so fall back to it wholesale.
+            shrunk, found = rep, first(rep)
     if found is None:
         raise AssertionError(
             "reproducer no longer violates — non-deterministic subject?"
         )
     point, message, check = found
-    return Reproducer(
-        workload=rep.workload,
-        scheme=rep.scheme,
-        policy=rep.policy,
-        value_bytes=rep.value_bytes,
-        ops=ops,
-        crash_kind=rep.crash_kind,
-        crash_point=point,
-        violation=message,
-        check=check,
+    return dataclasses.replace(
+        shrunk, crash_point=point, violation=message, check=check
     )

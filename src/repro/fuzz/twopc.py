@@ -1,4 +1,4 @@
-"""The cross-shard 2PC crash/fault campaign (``fuzz --twopc``).
+"""The cross-shard 2PC crash/fault campaign (``fuzz twopc``).
 
 Every cell is a (workload × scheme × shard count × fault flavour)
 quadruple over a deterministic :class:`~repro.shard.deployment.
@@ -48,19 +48,21 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import SystemConfig
-from repro.common.errors import (
-    LogChecksumError,
-    PowerFailure,
-    RecoveryError,
-    SimulationError,
-    TornLogError,
-)
-from repro.faults import BitFlip, FaultModel, TornAppend
+from repro.common.errors import PowerFailure, RecoveryError, SimulationError
 from repro.faults.model import tear_points
-from repro.fuzz.campaign import STRESS_CONFIG, CaseResult, _diagnose
-from repro.fuzz.invariants import InvariantViolation, durable_state
+from repro.fuzz.campaign import (
+    STRESS_CONFIG,
+    CaseResult,
+    Verdict,
+    Violation,
+    _diagnose,
+    batch_states,
+    clean_verdict,
+    read_durable,
+    record,
+)
+from repro.fuzz.faultcampaign import _plan_from_fault, probe_media
 from repro.mem.logregion import TWOPC_KINDS
-from repro.recovery.engine import recover
 from repro.shard.deployment import ShardedConfig, ShardedDeployment
 from repro.shard.recovery import recover_deployment
 from repro.shard.router import home_shard
@@ -110,24 +112,6 @@ DEFAULT_TWOPC_CELLS: Tuple[TwoPCCell, ...] = tuple(
 
 
 @dataclass
-class TwoPCViolation:
-    """One global-atomicity failure with its full reproduction key."""
-
-    cell: TwoPCCell
-    crash_kind: str
-    crash_point: int
-    check: str
-    message: str
-    fault: Optional[Dict] = None
-
-    def __str__(self) -> str:
-        where = f"@{self.crash_kind}:{self.crash_point}"
-        if self.fault is not None:
-            where = f"@{self.fault}"
-        return f"{self.cell} {where} [{self.check}] {self.message}"
-
-
-@dataclass
 class TwoPCCellReport:
     """Coverage and outcome summary for one 2PC cell."""
 
@@ -145,31 +129,11 @@ class TwoPCCellReport:
     xshard_commits: int
     cycles: int = 0
     pm_bytes: int = 0
-    violations: List[TwoPCViolation] = field(default_factory=list)
+    violations: List[Violation] = field(default_factory=list)
 
     @property
     def cases_run(self) -> int:
         return self.step_points_run + self.persist_points_run + self.fault_points_run
-
-
-@dataclass
-class TwoPCCampaignResult:
-    """A whole 2PC campaign: parameters plus every cell report."""
-
-    budget: int
-    seed: int
-    num_clients: int
-    requests_per_client: int
-    value_bytes: int
-    cells: List[TwoPCCellReport] = field(default_factory=list)
-
-    @property
-    def total_cases(self) -> int:
-        return sum(c.cases_run for c in self.cells)
-
-    @property
-    def violations(self) -> List[TwoPCViolation]:
-        return [v for c in self.cells for v in c.violations]
 
 
 # ----------------------------------------------------------------------
@@ -215,26 +179,16 @@ def _build_twopc(
     )
 
 
-def _check_twopc_recovered(dep: ShardedDeployment, resolution) -> Tuple[Optional[str], str]:
+def _check_twopc_recovered(dep: ShardedDeployment, resolution) -> Verdict:
     """Post-recovery acceptance: per-shard structure, placement and
     two-state oracles, then the explicit cross-shard atomicity check on
     the in-flight global transaction (see module docstring)."""
     durable: Dict[int, Tuple] = {}
     for node in dep.nodes:
-        subject = node.subject
-        try:
-            if hasattr(subject, "check_integrity"):
-                subject.check_integrity(subject.reader(durable=True))
-            durable[node.shard_id] = durable_state(subject)
-        except RecoveryError as exc:
-            return f"s{node.shard_id}: {exc}", "structure"
-        except SimulationError as exc:
-            return (
-                f"s{node.shard_id}: durable traversal failed: {exc}",
-                "structure",
-            )
-        except InvariantViolation as exc:
-            return f"s{node.shard_id}: {exc.message}", exc.check
+        state, failure = read_durable(node.subject, f"s{node.shard_id}: ")
+        if failure is not None:
+            return failure
+        durable[node.shard_id] = state
 
     # Placement: the router is the only write path, so every durable
     # key must live on its home shard.
@@ -251,14 +205,10 @@ def _check_twopc_recovered(dep: ShardedDeployment, resolution) -> Tuple[Optional
     # plus one whole in-flight group-commit batch (its commit marker
     # may have turned durable on the crashing drain).
     for node in dep.nodes:
-        committed = {k: tuple(v) for k, v in node.rm.committed.items()}
-        acceptable = [tuple(sorted(committed.items()))]
+        inflight = None
         if dep.inflight_local is not None and dep.inflight_local[0] == node.shard_id:
-            after = dict(committed)
-            for request in dep.inflight_local[1]:
-                for key, value in zip(request.keys, request.values):
-                    after[key] = tuple(value)
-            acceptable.append(tuple(sorted(after.items())))
+            inflight = dep.inflight_local[1]
+        acceptable = batch_states(node.rm.committed, inflight)
         if durable[node.shard_id] not in acceptable:
             message, check = _diagnose(durable[node.shard_id], acceptable[0])
             return f"s{node.shard_id}: {message}", check
@@ -343,17 +293,8 @@ def run_twopc_case(
         config=config,
     )
     machines = dict(dep.all_machines())
-    model: Optional[FaultModel] = None
     if fault is not None:
-        if fault["kind"] == "torn-tail":
-            model = FaultModel(TornAppend(fault["append"], fault["cut"]))
-        elif fault["kind"] == "bit-flip":
-            model = FaultModel(
-                BitFlip(fault["append"], fault["word"], fault["bit"])
-            )
-        else:
-            raise SimulationError(f"unknown fault kind {fault['kind']!r}")
-        machines[fault["node"]].pm.fault_model = model
+        machines[fault["node"]].pm.fault_model = _plan_from_fault(fault)
     elif crash_kind == "step":
         dep.coordinator.steps.crash_at = crash_point
     elif crash_kind.startswith("persist:"):
@@ -363,82 +304,42 @@ def run_twopc_case(
     else:
         raise ValueError(f"unknown crash kind {crash_kind!r}")
 
-    crashed = False
+    def result(crashed: bool, violation: Optional[str], check: str) -> CaseResult:
+        return CaseResult(
+            crashed, len(dep.committed), dep.coordinator.committed_gtxs,
+            violation, check,
+        )
+
     try:
         dep.serve()
     except PowerFailure:
-        crashed = True
-
-    if not crashed:
+        pass
+    else:
         # The armed point lay beyond this run (caller-chosen points
         # only): finish cleanly and judge like a clean run.
         for machine in machines.values():
             machine.cancel_scheduled_crash()
             machine.pm.fault_model = None
         dep.coordinator.steps.crash_at = None
-        violation: Optional[str] = None
-        check = ""
-        try:
+
+        def finish() -> None:
             dep.finish()
             for node in dep.nodes:
                 node.rm.sync_expected()
                 node.subject.verify(durable=True)
-        except RecoveryError as exc:
-            violation, check = str(exc), "structure"
-        return CaseResult(
-            crashed=False,
-            committed_ops=len(dep.committed),
-            tx_commits=dep.coordinator.committed_gtxs,
-            violation=violation,
-            check=check,
-        )
+
+        return result(False, *clean_verdict(finish))
 
     dep.crash()
     damaged = False
     if fault is not None:
-        pm = machines[fault["node"]].pm
-        pm.fault_model = None
-        parsed = pm.parse_byte_log_tolerant()
-        damaged = not parsed.clean
-        # Detection: damage the injection actually left on media must
-        # be visible to the tolerant byte parse (CRC escape otherwise).
-        if pm.log_damage and not damaged:
-            return CaseResult(
-                crashed=True,
-                committed_ops=len(dep.committed),
-                tx_commits=dep.coordinator.committed_gtxs,
-                violation=f"media damage escaped the tolerant parse ({fault})",
-                check="detection",
-            )
-        # Strict probe on a snapshot: must raise iff damaged.
-        strict_err: Optional[RecoveryError] = None
-        try:
-            recover(
-                pm.snapshot(),
-                mode=machines[fault["node"]].scheme.logging_mode,
-                from_bytes=True,
-                policy="strict",
-            )
-        except (TornLogError, LogChecksumError) as err:
-            strict_err = err
-        if damaged and strict_err is None:
-            return CaseResult(
-                crashed=True,
-                committed_ops=len(dep.committed),
-                tx_commits=dep.coordinator.committed_gtxs,
-                violation="strict recovery silently accepted a damaged "
-                f"protocol log on {fault['node']}",
-                check="strict",
-            )
-        if not damaged and strict_err is not None:
-            return CaseResult(
-                crashed=True,
-                committed_ops=len(dep.committed),
-                tx_commits=dep.coordinator.committed_gtxs,
-                violation=f"strict recovery rejected an undamaged log "
-                f"on {fault['node']}: {strict_err}",
-                check="strict",
-            )
+        node = machines[fault["node"]]
+        node.pm.fault_model = None
+        damaged, failure = probe_media(
+            node.pm, node.scheme.logging_mode, fault, fault["node"]
+        )
+        if failure is not None:
+            return result(True, *failure)
 
     try:
         resolution = recover_deployment(
@@ -447,33 +348,21 @@ def run_twopc_case(
             from_bytes=fault is not None,
         )
     except RecoveryError as exc:
-        return CaseResult(
-            crashed=True,
-            committed_ops=len(dep.committed),
-            tx_commits=dep.coordinator.committed_gtxs,
-            violation=f"deployment recovery failed: {exc}",
-            check="salvage" if fault is not None else "structure",
+        return result(
+            True,
+            f"deployment recovery failed: {exc}",
+            "salvage" if fault is not None else "structure",
         )
     if fault is not None and damaged:
         report = resolution.reports.get(fault["node"])
         if report is not None and not report.damaged:
-            return CaseResult(
-                crashed=True,
-                committed_ops=len(dep.committed),
-                tx_commits=dep.coordinator.committed_gtxs,
-                violation=f"salvage recovery on {fault['node']} did not "
+            return result(
+                True,
+                f"salvage recovery on {fault['node']} did not "
                 "disclose the media damage",
-                check="report",
+                "report",
             )
-
-    violation, check = _check_twopc_recovered(dep, resolution)
-    return CaseResult(
-        crashed=True,
-        committed_ops=len(dep.committed),
-        tx_commits=dep.coordinator.committed_gtxs,
-        violation=violation,
-        check=check,
-    )
+    return result(True, *_check_twopc_recovered(dep, resolution))
 
 
 # ----------------------------------------------------------------------
@@ -654,17 +543,7 @@ def run_twopc_cell(
             raise SimulationError(
                 f"2pc case died at {where}: {type(exc).__name__}: {exc}"
             ) from exc
-        if result.violation is not None:
-            report.violations.append(
-                TwoPCViolation(
-                    cell=cell,
-                    crash_kind=crash_kind,
-                    crash_point=crash_point,
-                    check=result.check,
-                    message=result.violation,
-                    fault=fault,
-                )
-            )
+        record(report, cell, crash_kind, crash_point, result, fault)
 
     for point in step_points:
         _run("step", point, None, f"step #{point} ({step_names[point]})")
@@ -674,53 +553,3 @@ def run_twopc_cell(
         _run("fault", int(fault.get("cut", fault.get("bit", 0))), fault,
              f"{fault['kind']} on {fault['node']} append #{fault['append']}")
     return report
-
-
-def run_twopc_campaign(
-    budget: int = 70,
-    seed: int = 7,
-    *,
-    cells: Sequence[TwoPCCell] = DEFAULT_TWOPC_CELLS,
-    num_clients: int = 4,
-    requests_per_client: int = 12,
-    value_bytes: int = 32,
-    config: SystemConfig = STRESS_CONFIG,
-    jobs: int = 1,
-    progress=None,
-) -> TwoPCCampaignResult:
-    """Run the 2PC campaign grid.
-
-    *budget* is the per-cell case budget.  Cells are keyed by
-    ``(cell, seed)`` alone — each worker rebuilds the deployment from
-    those scalars, and the ordered merge keeps the report byte-identical
-    to a serial campaign."""
-    from repro.parallel import engine
-    from repro.parallel.tasks import twopc_fuzz_cell
-
-    result = TwoPCCampaignResult(
-        budget=budget,
-        seed=seed,
-        num_clients=num_clients,
-        requests_per_client=requests_per_client,
-        value_bytes=value_bytes,
-    )
-    descriptors = [
-        {
-            "cell": cell,
-            "budget": budget,
-            "seed": seed,
-            "num_clients": num_clients,
-            "requests_per_client": requests_per_client,
-            "value_bytes": value_bytes,
-            "config": config,
-        }
-        for cell in cells
-    ]
-    result.cells = engine.run_tasks(
-        twopc_fuzz_cell,
-        descriptors,
-        jobs=jobs,
-        labels=[str(cell) for cell in cells],
-        progress=progress,
-    )
-    return result

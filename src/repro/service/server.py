@@ -26,7 +26,7 @@ with no simulated instruction in between.  A crash therefore can never
 separate a committed batch from its acknowledgements: every acked
 request is durable, and every unacked write is either absent or part of
 the single currently-committing batch (atomic all-or-nothing).  The
-service crash campaign (``python -m repro fuzz --service``) proves both
+service crash campaign (``python -m repro fuzz service``) proves both
 at every durability-event point.
 """
 

@@ -8,12 +8,11 @@ from repro.fuzz.campaign import (
     FuzzCell,
     baseline_states,
     generate_ops,
-    run_campaign,
     run_case,
     run_cell,
 )
+from repro.fuzz.kernel import CampaignResult, format_report, run_campaign
 from repro.fuzz.minimize import Reproducer, minimize, replay
-from repro.fuzz.report import format_report
 
 HAZARD_CELL = FuzzCell("hashtable", "SLPMT", "manual-buggy-tombstone")
 
@@ -21,8 +20,8 @@ HAZARD_CELL = FuzzCell("hashtable", "SLPMT", "manual-buggy-tombstone")
 @pytest.mark.fuzz
 def test_campaign_is_deterministic():
     cells = [FuzzCell("hashtable", "SLPMT", "manual")]
-    first = run_campaign(budget=40, seed=3, cells=cells, num_ops=6)
-    second = run_campaign(budget=40, seed=3, cells=cells, num_ops=6)
+    first = run_campaign("single", cells, budget=40, seed=3, num_ops=6)
+    second = run_campaign("single", cells, budget=40, seed=3, num_ops=6)
     assert format_report(first) == format_report(second)
     assert first.total_cases == second.total_cases > 0
 
@@ -88,7 +87,10 @@ def test_hazard_is_caught_minimized_and_replayed():
     )
     assert report.violations, "the mis-annotated tombstone went undetected"
 
-    rep = Reproducer.from_violation(report.violations[0], ops, value_bytes=32)
+    rep = Reproducer.from_violation(
+        "single", report.violations[0], seed=7, num_ops=len(ops)
+    )
+    assert rep.ops == ops
     shrunk = minimize(rep)
     assert len(shrunk.ops) <= len(rep.ops)
     assert shrunk.crash_point <= rep.crash_point
@@ -98,22 +100,6 @@ def test_hazard_is_caught_minimized_and_replayed():
     replayed = replay(shrunk)
     assert replayed.violation == shrunk.violation
     assert replayed.check == shrunk.check
-
-
-@pytest.mark.fuzz
-def test_reproducer_json_round_trip():
-    rep = Reproducer(
-        workload="hashtable",
-        scheme="SLPMT",
-        policy="manual-buggy-tombstone",
-        value_bytes=32,
-        ops=[["insert", 5, 0], ["remove", 5, 0]],
-        crash_kind="persist",
-        crash_point=8,
-        violation="x",
-        check="structure",
-    )
-    assert Reproducer.from_json(rep.to_json()) == rep
 
 
 @pytest.mark.fuzz
@@ -137,12 +123,7 @@ def test_service_cell_reports_steady_telemetry():
     """The service campaign's clean run carries windowed telemetry:
     every cell report quotes a steady window range and throughput, and
     the table renders them."""
-    from repro.fuzz.campaign import (
-        ServiceCampaignResult,
-        ServiceCell,
-        run_service_cell,
-    )
-    from repro.fuzz.report import format_service_report
+    from repro.fuzz.campaign import ServiceCell, run_service_cell
 
     report = run_service_cell(
         ServiceCell("hashtable", "SLPMT", 8),
@@ -154,14 +135,13 @@ def test_service_cell_reports_steady_telemetry():
     assert report.windows > 0
     assert 0 <= report.window_lo < report.window_hi <= report.windows
     assert report.steady_kcyc > 0
-    result = ServiceCampaignResult(
+    result = CampaignResult(
+        family="service",
         budget=4,
         seed=7,
-        num_clients=3,
-        requests_per_client=10,
-        value_bytes=32,
+        params=dict(num_clients=3, requests_per_client=10, value_bytes=32),
         cells=[report],
     )
-    text = format_service_report(result)
+    text = format_report(result)
     assert "steady-win" in text and "kcyc" in text
     assert f"{report.window_lo}..{report.window_hi}/{report.windows}" in text

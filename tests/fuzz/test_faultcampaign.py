@@ -9,15 +9,13 @@ from repro.fuzz.faultcampaign import (
     DEFAULT_FAULT_SCHEMES,
     FAULT_POLICY,
     FaultCell,
-    FaultViolation,
     default_fault_cells,
-    format_fault_report,
-    run_fault_campaign,
     run_fault_case,
     run_fault_cell,
     wire_layout,
 )
-from repro.fuzz.campaign import generate_ops
+from repro.fuzz.campaign import Violation, generate_ops
+from repro.fuzz.kernel import format_report, run_campaign
 from repro.fuzz.minimize import Reproducer, replay
 
 OPS = 4
@@ -96,17 +94,17 @@ class TestCampaign:
             FaultCell("inplace", "SLPMT", "torn-tail"),
             FaultCell("inplace", "SLPMT", "bit-flip"),
         ]
-        result = run_fault_campaign(
-            budget=4, seed=SEED, cells=cells, num_ops=3
+        result = run_campaign(
+            "fault", cells, budget=4, seed=SEED, num_ops=3
         )
         assert result.total_cases > 0
         assert result.violations == []
-        text = format_fault_report(result)
+        text = format_report(result)
         assert "all-cuts" in text and "sampled" in text
         assert "violations: 0" in text
         # Stable output: same inputs, byte-identical report.
-        rerun = run_fault_campaign(budget=4, seed=SEED, cells=cells, num_ops=3)
-        assert format_fault_report(rerun) == text
+        rerun = run_campaign("fault", cells, budget=4, seed=SEED, num_ops=3)
+        assert format_report(rerun) == text
 
     def test_default_cells_grid(self):
         cells = default_fault_cells(
@@ -156,14 +154,19 @@ class TestFaultReproducer:
         assert result.violation is None
 
     def test_from_fault_violation_freezes_coordinates(self):
-        violation = FaultViolation(
+        violation = Violation(
             cell=FaultCell("inplace", "SLPMT", "drop-drains"),
-            fault={"kind": "drop-drains", "crash_point": 9, "count": 2},
+            crash_kind="fault",
+            crash_point=9,
             check="prefix",
             message="durable state matches no committed prefix",
+            fault={"kind": "drop-drains", "crash_point": 9, "count": 2},
         )
         ops = generate_ops("inplace", 3, SEED)
-        rep = Reproducer.from_fault_violation(violation, ops, value_bytes=32)
+        rep = Reproducer.from_violation(
+            "fault", violation, seed=SEED, num_ops=3
+        )
+        assert rep.ops == ops
         assert rep.crash_kind == "fault"
         assert rep.crash_point == 9
         assert rep.policy == FAULT_POLICY

@@ -2,24 +2,16 @@
 
 import json
 
-import pytest
-
-from repro.fuzz.campaign import ServiceCell, Violation
+from repro.fuzz.campaign import Violation
+from repro.fuzz.kernel import format_report, run_campaign
 from repro.fuzz.minimize import Reproducer, replay
-from repro.fuzz.report import format_twopc_report
-from repro.fuzz.twopc import (
-    DEFAULT_TWOPC_CELLS,
-    TWOPC_FAULTS,
-    TwoPCCell,
-    TwoPCViolation,
-    run_twopc_campaign,
-)
+from repro.fuzz.twopc import DEFAULT_TWOPC_CELLS, TWOPC_FAULTS, TwoPCCell
 
 SMALL = dict(num_clients=2, requests_per_client=8, value_bytes=32)
 
 
 def twopc_violation(fault=None):
-    return TwoPCViolation(
+    return Violation(
         cell=TwoPCCell(
             "hashtable", "SLPMT", 2,
             "torn-decision" if fault else "crash",
@@ -49,26 +41,17 @@ class TestDefaultGrid:
 
 
 class TestTwoPCReproducer:
-    def test_json_round_trip(self):
-        rep = Reproducer.from_twopc_violation(
-            twopc_violation(), seed=7, **SMALL
-        )
-        back = Reproducer.from_json(rep.to_json())
-        assert back == rep
-        assert back.twopc["shards"] == 2
-        assert back.ops == []
-
     def test_fault_coordinates_survive(self):
         fault = {"node": "coord", "kind": "torn-tail", "append": 0, "cut": 2}
-        rep = Reproducer.from_twopc_violation(
-            twopc_violation(fault), seed=7, **SMALL
+        rep = Reproducer.from_violation(
+            "twopc", twopc_violation(fault), seed=7, **SMALL
         )
         back = Reproducer.from_json(rep.to_json())
         assert back.fault == fault
 
     def test_replay_reruns_the_exact_case(self):
-        rep = Reproducer.from_twopc_violation(
-            twopc_violation(), seed=7, **SMALL
+        rep = Reproducer.from_violation(
+            "twopc", twopc_violation(), seed=7, **SMALL
         )
         result = replay(rep)
         assert result.crashed
@@ -76,8 +59,8 @@ class TestTwoPCReproducer:
         assert result.violation is None
 
     def test_pre_twopc_reproducer_files_still_load(self):
-        rep = Reproducer.from_twopc_violation(
-            twopc_violation(), seed=7, **SMALL
+        rep = Reproducer.from_violation(
+            "twopc", twopc_violation(), seed=7, **SMALL
         )
         data = json.loads(rep.to_json())
         del data["twopc"]
@@ -86,34 +69,15 @@ class TestTwoPCReproducer:
         assert old.twopc is None and old.service is None
 
 
-class TestServiceReproducer:
-    def test_json_round_trip_and_replay(self):
-        violation = Violation(
-            cell=ServiceCell("hashtable", "SLPMT", 4),
-            crash_kind="persist",
-            crash_point=3,
-            check="completeness",
-            message="synthetic",
-        )
-        rep = Reproducer.from_service_violation(
-            violation, num_clients=2, requests_per_client=6,
-            value_bytes=32, seed=7,
-        )
-        back = Reproducer.from_json(rep.to_json())
-        assert back == rep
-        result = replay(back)
-        assert result.violation is None
-
-
 class TestReportFormat:
     def test_report_is_deterministic_and_complete(self):
         cells = [
             TwoPCCell("hashtable", "SLPMT", 2, "crash"),
             TwoPCCell("hashtable", "SLPMT", 2, "torn-decision"),
         ]
-        result = run_twopc_campaign(budget=2, seed=7, cells=cells, **SMALL)
-        a = format_twopc_report(result)
-        b = format_twopc_report(result)
+        result = run_campaign("twopc", cells, budget=2, seed=7, **SMALL)
+        a = format_report(result)
+        b = format_report(result)
         assert a == b
         assert "SLPMT cross-shard 2PC crash campaign" in a
         assert "torn-decision" in a

@@ -6,10 +6,10 @@ from repro.common.stats import SimStats
 from repro.fuzz.campaign import (
     DEFAULT_MULTICORE_CELLS,
     MultiCoreCell,
-    run_multicore_campaign,
     run_multicore_case,
     run_multicore_cell,
 )
+from repro.fuzz.kernel import run_campaign
 from repro.harness.runner import run_contention, run_workload
 from repro.multicore.system import MultiCoreSystem
 from repro.workloads import HashTable, generate_streams, zipfian_cdf
@@ -169,11 +169,11 @@ class TestMultiCoreCampaign:
             MultiCoreCell("hashtable", "FG", 2, 0.9),
             MultiCoreCell("hashtable", "SLPMT", 2, 0.9),
         )
-        serial = run_multicore_campaign(
-            budget=4, seed=7, cells=cells, ops_per_core=3, jobs=1
+        serial = run_campaign(
+            "multicore", cells, budget=4, seed=7, ops_per_core=3, jobs=1
         )
-        fanned = run_multicore_campaign(
-            budget=4, seed=7, cells=cells, ops_per_core=3, jobs=2
+        fanned = run_campaign(
+            "multicore", cells, budget=4, seed=7, ops_per_core=3, jobs=2
         )
         assert serial.cells == fanned.cells
         assert serial.total_cases == 8

@@ -7,13 +7,9 @@ import json
 
 import pytest
 
-from repro.fuzz.campaign import FuzzCell, run_campaign
-from repro.fuzz.faultcampaign import (
-    FaultCell,
-    format_fault_report,
-    run_fault_campaign,
-)
-from repro.fuzz.report import format_report
+from repro.fuzz.campaign import FuzzCell
+from repro.fuzz.faultcampaign import FaultCell
+from repro.fuzz.kernel import format_report, run_campaign
 from repro import artifacts as bench
 from repro.artifacts import YcsbParams
 from repro.obs.run import observed_run
@@ -67,9 +63,9 @@ class TestCampaignEquivalence:
     )
 
     def test_fuzz_report_identical(self):
-        serial = run_campaign(budget=6, seed=7, cells=self.CELLS, num_ops=4)
+        serial = run_campaign("single", self.CELLS, budget=6, seed=7, num_ops=4)
         parallel = run_campaign(
-            budget=6, seed=7, cells=self.CELLS, num_ops=4, jobs=2
+            "single", self.CELLS, budget=6, seed=7, num_ops=4, jobs=2
         )
         assert serial == parallel
         assert format_report(serial) == format_report(parallel)
@@ -79,12 +75,12 @@ class TestCampaignEquivalence:
             FaultCell("hashtable", "SLPMT", "torn-tail"),
             FaultCell("hashtable", "SLPMT", "drop-drains"),
         ]
-        serial = run_fault_campaign(budget=4, seed=7, cells=cells, num_ops=3)
-        parallel = run_fault_campaign(
-            budget=4, seed=7, cells=cells, num_ops=3, jobs=2
+        serial = run_campaign("fault", cells, budget=4, seed=7, num_ops=3)
+        parallel = run_campaign(
+            "fault", cells, budget=4, seed=7, num_ops=3, jobs=2
         )
         assert serial == parallel
-        assert format_fault_report(serial) == format_fault_report(parallel)
+        assert format_report(serial) == format_report(parallel)
 
 
 class TestEquivalenceCommand:

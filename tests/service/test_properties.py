@@ -11,7 +11,7 @@ For every (scheme × group-commit policy) cell and several stream seeds:
 
 The properties reuse the campaign's acceptance machinery
 (:func:`repro.fuzz.campaign.run_service_case`), so a failure here is a
-failure of the same contract ``python -m repro fuzz --service`` sweeps
+failure of the same contract ``python -m repro fuzz service`` sweeps
 at scale.
 """
 

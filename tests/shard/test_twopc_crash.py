@@ -10,13 +10,12 @@ import pytest
 
 from repro.common.errors import PowerFailure
 from repro.fuzz.campaign import STRESS_CONFIG
-from repro.fuzz.report import format_twopc_report
+from repro.fuzz.kernel import format_report, run_campaign
 from repro.fuzz.twopc import (
     TwoPCCell,
     _build_twopc,
     _step_family,
     _stratified_steps,
-    run_twopc_campaign,
     run_twopc_case,
     run_twopc_cell,
 )
@@ -168,10 +167,10 @@ class TestCampaign:
         assert report.violations == []
 
     def test_serial_and_parallel_reports_are_byte_identical(self):
-        kwargs = dict(budget=3, seed=7, cells=[CELL, TORN], **CASE_KW)
-        serial = run_twopc_campaign(jobs=1, **kwargs)
-        parallel = run_twopc_campaign(jobs=2, **kwargs)
-        assert format_twopc_report(serial) == format_twopc_report(parallel)
+        kwargs = dict(budget=3, seed=7, **CASE_KW)
+        serial = run_campaign("twopc", [CELL, TORN], jobs=1, **kwargs)
+        parallel = run_campaign("twopc", [CELL, TORN], jobs=2, **kwargs)
+        assert format_report(serial) == format_report(parallel)
 
 
 class TestPoisonPropagation:
@@ -182,8 +181,8 @@ class TestPoisonPropagation:
     def test_poisoned_cell_surfaces_with_label(self, monkeypatch, jobs):
         monkeypatch.setenv(POISON_ENV, str(CELL))
         with pytest.raises(WorkerCrash) as exc:
-            run_twopc_campaign(
-                budget=2, seed=7, cells=[CELL], jobs=jobs, **CASE_KW
+            run_campaign(
+                "twopc", [CELL], budget=2, seed=7, jobs=jobs, **CASE_KW
             )
         assert "2pc/hashtable/SLPMT/s2/crash" in str(exc.value)
 
@@ -192,7 +191,7 @@ class TestPoisonPropagation:
 
         monkeypatch.setenv(POISON_ENV, str(CELL))
         rc = fuzz_main([
-            "--twopc", "--budget", "2", "--shards", "2",
+            "twopc", "--budget", "2", "--shards", "2",
             "--schemes", "SLPMT",
             "--out", str(tmp_path / "twopc.txt"),
         ])
